@@ -22,6 +22,8 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
 
@@ -31,6 +33,7 @@ from scipy.special import expit
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "concat",
     "conv1d",
     "maxpool1d",
@@ -52,6 +55,24 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.01
+
+_GRAD_ENABLED = contextvars.ContextVar("saeti_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block.
+
+    Ops return tensors with ``requires_grad=False``, so no backward
+    closure, parent link or backward-only array is kept. Forward values
+    are the same as with gradients on. The previous state comes back on
+    exit, also when the block raises.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -266,7 +287,7 @@ def _as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._prev = parents
     return out

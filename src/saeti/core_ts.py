@@ -27,6 +27,7 @@ __all__ = [
     "denormalize",
     "segments",
     "all_subsequences",
+    "window_starts",
     "split_nonoverlapping",
     "read_csv",
     "write_csv",
@@ -65,14 +66,21 @@ class TimeSeries:
             raise ValueError(
                 f"mask shape {mask.shape} != values shape {values.shape}"
             )
-        # Missing cells are never read: poison them with NaN.
-        values = values.copy()
-        values[~mask] = np.nan
         names = tuple(self.names) if self.names else tuple(
             f"c{j + 1}" for j in range(values.shape[1])
         )
         if len(names) != values.shape[1]:
             raise ValueError("one name per coordinate required")
+        bad = mask & ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"non-finite observed value {float(values[i, j])!r} at row {i + 1}, "
+                f"column {j + 1} ({names[j]})"
+            )
+        # Missing cells are never read: poison them with NaN.
+        values = values.copy()
+        values[~mask] = np.nan
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask.copy())
         object.__setattr__(self, "names", names)
@@ -259,29 +267,36 @@ def all_subsequences(values: np.ndarray, m: int, mask: np.ndarray | None = None,
     ]
 
 
-def split_nonoverlapping(ts: TimeSeries, m: int) -> list[Subsequence]:
-    """Cover the whole series with consecutive d-by-m windows.
+def window_starts(n: int, m: int) -> np.ndarray:
+    """0-based starts of the length-m windows that cover ``n`` steps.
 
-    Windows start at 1, m+1, 2m+1, ...; when n is not a multiple of m the
-    final window is anchored at ``n - m + 1`` and overlaps its predecessor
+    Windows start at 0, m, 2m, ...; when n is not a multiple of m the
+    final window is anchored at ``n - m`` and overlaps its predecessor
     so every point is covered. On the overlap, earlier windows take
     precedence downstream (first writer wins).
     """
-    n, _ = ts.values.shape
     if m > n:
         raise ValueError(f"m={m} exceeds series length n={n}")
-    starts = list(range(0, n - m + 1, m))
+    starts = np.arange(0, n - m + 1, m)
     if n % m != 0:
-        starts.append(n - m)
+        starts = np.append(starts, n - m)
+    return starts
+
+
+def split_nonoverlapping(ts: TimeSeries, m: int) -> list[Subsequence]:
+    """Cover the whole series with consecutive d-by-m windows.
+
+    Window placement follows :func:`window_starts`; ``start`` is 1-based.
+    """
     return [
         Subsequence(
             coord=None,
-            start=s + 1,
+            start=int(s) + 1,
             length=m,
             values=ts.values[s:s + m].T.copy(),
             mask=ts.mask[s:s + m].T.copy(),
         )
-        for s in starts
+        for s in window_starts(ts.n, m)
     ]
 
 
@@ -297,6 +312,7 @@ def read_csv(path) -> TimeSeries:
             raise ValueError(f"{path}: empty CSV") from None
         names = tuple(name.strip() for name in header)
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -312,9 +328,16 @@ def read_csv(path) -> TimeSeries:
                 else:
                     parsed.append(float(cell))
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return TimeSeries.from_values(np.array(rows, dtype=float), names=names)
+    values = np.array(rows, dtype=float)
+    infinite = np.isinf(values)
+    if infinite.any():
+        i, j = np.argwhere(infinite)[0]
+        raise ValueError(f"{path}:{linenos[i]}: column {j + 1} ({names[j]}): "
+                         f"non-finite value {float(values[i, j])!r}")
+    return TimeSeries.from_values(values, names=names)
 
 
 def write_csv(ts: TimeSeries, path) -> None:

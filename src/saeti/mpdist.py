@@ -25,6 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import minimum_filter1d
 
+from .core_ts import MIN_SEGMENT_LEN
+
 __all__ = [
     "DistanceProfile",
     "ProfileMatrix",
@@ -175,8 +177,8 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    if m < 4:
-        raise ValueError(f"segment too short: m={m} < 4")
+    if m < MIN_SEGMENT_LEN:
+        raise ValueError(f"segment too short: m={m} < {MIN_SEGMENT_LEN}")
     if m > n:
         raise ValueError(f"m={m} exceeds series length n={n}")
     if ell is None:

@@ -1,12 +1,16 @@
 """End-to-end gap filling with a trained bundle.
 
-The series is brought into the bundle's normalized frame, cut into
+The series is brought into the bundle's normalized frame and cut into
 stride-m windows (the last window backs up over the tail when the
-length is not a multiple of m), and every window containing gaps is
-routed through classifier and autoencoder. Model predictions land only
+length is not a multiple of m). The windows containing gaps are
+gathered into one array and run through each model in fixed-size
+batches: one recognizer pass labels every window, one snippet lookup
+pairs it with its matched snippets, and one reconstructor pass predicts
+it, all without recording a gradient graph. Model predictions land only
 in missing cells; observed cells of the output are the input values,
-bit for bit. Overlapping tail coverage follows first-writer-wins, so
-each missing cell is predicted exactly once.
+bit for bit. Predictions are written in window order and overlapping
+tail coverage follows first-writer-wins, so each missing cell is
+predicted exactly once.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_ts import TimeSeries, apply_normalization, denormalize, split_nonoverlapping
+from .autograd import no_grad
+from .core_ts import TimeSeries, apply_normalization, denormalize, window_starts
 from .models import MISSING_FILL
-from .training import ModelBundle
+from .training import ModelBundle, snippet_pairs
 
 __all__ = ["impute", "impute_report", "ImputeStats"]
+
+# Gap windows per batched forward; bounds model memory on long series.
+GAP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -49,25 +57,23 @@ def _impute_core(ts: TimeSeries, bundle: ModelBundle) -> tuple[TimeSeries, Imput
     filled = norm.values.copy()
     written = np.zeros_like(obs)
     usage = np.zeros((bundle.d, bundle.k), dtype=int)
-    windows = split_nonoverlapping(norm, m)
-    n_gap = 0
-    for w in windows:
-        if w.is_clean:
-            continue
-        n_gap += 1
-        s0 = w.start - 1
-        wmask = obs[s0:s0 + m].T                       # (d, m)
-        inp = np.where(wmask, clamped[s0:s0 + m].T, MISSING_FILL)
-        labels = bundle.recognizer.predict(inp[None])[0]
-        pair = np.empty((1, bundle.d, 2, m))
-        pair[0, :, 0, :] = inp
+    starts = window_starts(ts.n, m)
+    offsets = np.arange(m)
+    gap_starts = starts[~obs[starts[:, None] + offsets].all(axis=(1, 2))]
+    for lo in range(0, gap_starts.shape[0], GAP_CHUNK):
+        chunk = gap_starts[lo:lo + GAP_CHUNK]
+        rows = chunk[:, None] + offsets                   # (G, m)
+        inp = np.where(obs[rows], clamped[rows], MISSING_FILL).transpose(0, 2, 1)
+        with no_grad():
+            labels = bundle.recognizer.predict(inp)       # (G, d)
+            pairs = snippet_pairs(inp, labels, bundle.snippet_sets)
+            pred = bundle.reconstructor.forward(pairs).data  # (G, d, m) in [0, 1]
         for j in range(bundle.d):
-            pair[0, j, 1, :] = bundle.snippet_sets[j].items[labels[j]].values
-            usage[j, labels[j]] += 1
-        pred = bundle.reconstructor.forward(pair).data[0]  # (d, m) in [0, 1]
-        slot = (~obs[s0:s0 + m]) & (~written[s0:s0 + m])   # (m, d)
-        filled[s0:s0 + m][slot] = pred.T[slot]
-        written[s0:s0 + m][slot] = True
+            usage[j] += np.bincount(labels[:, j], minlength=bundle.k)
+        for s0, window in zip(chunk, pred):
+            slot = (~obs[s0:s0 + m]) & (~written[s0:s0 + m])   # (m, d)
+            filled[s0:s0 + m][slot] = window.T[slot]
+            written[s0:s0 + m][slot] = True
 
     denormed = denormalize(
         TimeSeries(values=filled, mask=np.ones_like(obs), names=ts.names),
@@ -76,8 +82,8 @@ def _impute_core(ts: TimeSeries, bundle: ModelBundle) -> tuple[TimeSeries, Imput
     final = np.where(obs, ts.values, denormed.values)
     out = TimeSeries(values=final, mask=np.ones_like(obs), names=ts.names)
     stats = ImputeStats(
-        n_windows=len(windows),
-        n_gap_windows=n_gap,
+        n_windows=starts.shape[0],
+        n_gap_windows=gap_starts.shape[0],
         imputed_points=int((~obs).sum()),
         clamped_points=int(out_of_range.sum()),
         snippet_usage=usage,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Adam, cross_entropy, masked_mse, zero_grads
+from .autograd import Adam, cross_entropy, masked_mse, no_grad, zero_grads
 from .core_ts import NormParams, Subsequence, TimeSeries, split_nonoverlapping
 from .models import MISSING_FILL, RecognizerModel, ReconstructorModel
 from .snippets import (
@@ -33,6 +33,7 @@ __all__ = [
     "ModelBundle",
     "build_recognizer_dataset",
     "build_reconstructor_dataset",
+    "snippet_pairs",
     "mask_random_points",
     "split_train_val",
     "train_recognizer",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 BUNDLE_MAGIC = b"SAETIMB1"
+BUNDLE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,8 @@ def window_labels(sub: Subsequence, sets: list[SnippetSet],
     if recognizer is None:
         raise ValueError("window has gaps and no classifier was provided")
     filled = _fill(sub.values, sub.mask)
-    return recognizer.predict(filled[None])[0]
+    with no_grad():
+        return recognizer.predict(filled[None])[0]
 
 
 def build_recognizer_dataset(
@@ -158,18 +161,27 @@ def build_reconstructor_dataset(
     windows = [w for w in split_nonoverlapping(ts_norm, m) if w.mask.any()]
     if not windows:
         raise ValueError("insufficient clean data: no observed points in any window")
-    d = ts_norm.d
-    xs, targets, weights = [], [], []
-    for w in windows:
-        labels = window_labels(w, sets, recognizer)
-        pair = np.empty((d, 2, m))
-        pair[:, 0, :] = _fill(w.values, w.mask)
-        for j in range(d):
-            pair[j, 1, :] = sets[j].items[labels[j]].values
-        xs.append(pair)
-        targets.append(np.where(w.mask, w.values, 0.0))
-        weights.append(w.mask.astype(float))
-    return np.stack(xs), np.stack(targets), np.stack(weights)
+    labels = np.stack([window_labels(w, sets, recognizer) for w in windows])
+    inputs = np.stack([_fill(w.values, w.mask) for w in windows])
+    targets = np.stack([np.where(w.mask, w.values, 0.0) for w in windows])
+    weights = np.stack([w.mask.astype(float) for w in windows])
+    return snippet_pairs(inputs, labels, sets), targets, weights
+
+
+def snippet_pairs(inputs: np.ndarray, labels: np.ndarray,
+                  sets: list[SnippetSet]) -> np.ndarray:
+    """Pair each filled window with its matched snippets.
+
+    ``inputs`` is (N, d, m) with gaps already filled, ``labels`` (N, d)
+    holds 0-based snippet ranks. Returns (N, d, 2, m): the window in
+    channel 0 and snippet ``labels[i, j]`` of coordinate ``j`` in
+    channel 1, the reconstructor's input layout.
+    """
+    pairs = np.empty(inputs.shape[:2] + (2,) + inputs.shape[2:])
+    pairs[:, :, 0, :] = inputs
+    for j, sset in enumerate(sets):
+        pairs[:, j, 1, :] = sset.values_matrix()[labels[:, j]]
+    return pairs
 
 
 def mask_random_points(observed: np.ndarray, fraction: float,
@@ -266,8 +278,9 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
         train_loss = total / train_idx.shape[0]
         _check_finite(train_loss, "training loss", epoch)
 
-        val_probs = model.forward(val_x)
-        val_loss = cross_entropy(val_probs, y[val_idx]).item() / val_idx.shape[0]
+        with no_grad():
+            val_probs = model.forward(val_x)
+            val_loss = cross_entropy(val_probs, y[val_idx]).item() / val_idx.shape[0]
         _check_finite(val_loss, "validation loss", epoch)
         val_acc = float(np.mean(np.argmax(val_probs.data, axis=-1) == y[val_idx]))
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
@@ -316,14 +329,15 @@ def train_reconstructor(model: ReconstructorModel, x: np.ndarray,
             zero_grads(params)
             loss.backward()
             opt.step()
-            n_pos = weight[batch].sum()
+            n_pos = float(weight[batch].sum())
             total += loss.item() * n_pos
             count += n_pos
         train_loss = total / count
         _check_finite(train_loss, "training loss", epoch)
 
-        val_pred = model.forward(x[val_idx])
-        val_loss = masked_mse(val_pred, target[val_idx], weight[val_idx]).item()
+        with no_grad():
+            val_pred = model.forward(x[val_idx])
+            val_loss = masked_mse(val_pred, target[val_idx], weight[val_idx]).item()
         _check_finite(val_loss, "validation loss", epoch)
         history.append(EpochStats(epoch, train_loss, val_loss))
 
@@ -379,7 +393,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     save reproduces the file byte for byte.
     """
     header = {
-        "format": 1,
+        "format": BUNDLE_FORMAT,
         "config": {
             "d": bundle.d,
             "m": bundle.m,
@@ -419,14 +433,28 @@ def load_bundle(path) -> ModelBundle:
     if 16 + header_len > len(blob):
         raise ValueError("truncated bundle: header extends past end of file")
     header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    try:
+        return _bundle_from_header(header, blob, 16 + header_len)
+    except KeyError as exc:
+        raise ValueError(f"bundle header is missing key {exc}") from None
+
+
+def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
+    if header["format"] != BUNDLE_FORMAT:
+        raise ValueError(
+            f"unsupported bundle format {header['format']!r}; "
+            f"this version reads format {BUNDLE_FORMAT}")
     cfg = header["config"]
+    names = tuple(cfg["names"])
+    if len(names) != cfg["d"]:
+        raise ValueError(
+            f"bundle lists {len(names)} names but its config has d={cfg['d']}")
     norm = NormParams(mins=np.array(header["norm"]["mins"], dtype=float),
                       maxs=np.array(header["norm"]["maxs"], dtype=float))
     sets = snippet_sets_from_json(json.dumps(header["snippets"]))
     recognizer = RecognizerModel(cfg["d"], cfg["m"], cfg["k"], seed=cfg["seed"])
     reconstructor = ReconstructorModel(cfg["d"], cfg["m"], latent=cfg["latent"],
                                        seed=cfg["seed"])
-    offset = 16 + header_len
     for model, key in ((recognizer, "recognizer"), (reconstructor, "reconstructor")):
         manifest = header["params"][key]
         named = model.parameters()
@@ -442,6 +470,6 @@ def load_bundle(path) -> ModelBundle:
             offset += nbytes
     if offset != len(blob):
         raise ValueError("bundle has trailing bytes")
-    return ModelBundle(names=tuple(cfg["names"]), norm=norm, snippet_sets=sets,
+    return ModelBundle(names=names, norm=norm, snippet_sets=sets,
                        recognizer=recognizer, reconstructor=reconstructor,
                        seed=cfg["seed"])

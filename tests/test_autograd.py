@@ -228,3 +228,28 @@ def test_glorot_bounds_and_determinism():
     assert np.array_equal(a.data, b.data)
     c = ag.glorot_uniform((4, 2, 3), np.random.default_rng(1))
     assert np.all(np.abs(c.data) <= np.sqrt(6.0 / (2 * 3 + 4 * 3)))
+
+
+def test_no_grad_records_no_graph_and_restores_state():
+    rng = np.random.default_rng(3)
+    x = ag.Tensor(rng.normal(size=(2, 3, 8)))
+    w = ag.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+    b = ag.Tensor(np.zeros(4), requires_grad=True)
+
+    def build():
+        return ag.leaky_relu(ag.maxpool1d(ag.relu(ag.conv1d(x, w, b)))).sum()
+
+    with_graph = build()
+    with ag.no_grad():
+        free = build()
+        assert not free.requires_grad
+        assert free._prev == () and free._backward is None
+    assert free.item() == with_graph.item()
+
+    with pytest.raises(RuntimeError, match="boom"):
+        with ag.no_grad():
+            raise RuntimeError("boom")
+    again = build()
+    assert again.requires_grad and again._prev and again._backward is not None
+    again.backward()
+    assert w.grad is not None

@@ -50,6 +50,35 @@ def test_train_writes_bundle_and_history(workdir):
     assert any(line.startswith("reconstructor,") for line in lines)
 
 
+def test_history_losses_parse_as_plain_floats(workdir):
+    lines = (workdir / "model.bundle.history.csv").read_text().splitlines()
+    for line in lines[1:]:
+        model, _, train_loss, val_loss, val_accuracy = line.split(",")
+        float(train_loss)
+        float(val_loss)
+        if model == "recognizer":
+            float(val_accuracy)
+
+
+@pytest.mark.parametrize("command", ["impute", "train"])
+def test_non_finite_cells_exit_2(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    text = (workdir / "gapped.csv").read_text().splitlines()
+    cells = text[5].split(",")
+    cells[1] = "inf"
+    text[5] = ",".join(cells)
+    bad.write_text("\n".join(text) + "\n")
+    if command == "impute":
+        args = ["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
+                "--output", str(tmp_path / "out.csv")]
+    else:
+        args = ["train", "--input", str(bad), "--output", str(tmp_path / "b"),
+                "--m", "16", "--k", "2", "--max-epochs", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:6: column 2 (s2): non-finite value inf" in err
+
+
 def test_generate_gaps_artifacts(workdir):
     gapped = read_csv(workdir / "gapped.csv")
     assert gapped.n_missing == 20

@@ -154,3 +154,17 @@ def test_csv_reads_empty_and_nan_cells(tmp_path):
     path.write_text("a,b\n1.0,\nNaN,2.0\n")
     ts = read_csv(path)
     assert ts.mask.tolist() == [[True, False], [False, True]]
+
+
+def test_series_rejects_non_finite_observed_cells():
+    with pytest.raises(ValueError, match=r"non-finite observed value inf at row 2, column 1 \(a\)"):
+        TimeSeries.from_values([[1.0, 2.0], [np.inf, 3.0]], names=("a", "b"))
+    with pytest.raises(ValueError, match="row 1, column 2"):
+        TimeSeries(values=np.array([[1.0, np.nan]]), mask=np.ones((1, 2), dtype=bool))
+
+
+def test_csv_rejects_infinite_cells(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("a,b\n1.0,2.0\n3.0,-inf\n")
+    with pytest.raises(ValueError, match=r"inf.csv:3: column 2 \(b\): non-finite value -inf"):
+        read_csv(path)

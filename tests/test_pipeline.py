@@ -2,9 +2,49 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti.core_ts import TimeSeries
+from saeti import pipeline
+from saeti.core_ts import TimeSeries, apply_normalization, split_nonoverlapping
+from saeti.models import MISSING_FILL
 from saeti.pipeline import impute, impute_report
 from saeti.scenarios import gen_blackout, gen_mcar
+
+
+def reference_window_predictions(ts, bundle):
+    """Batch-1 recognizer and reconstructor pass per gap window.
+
+    Returns ``{0-based start: (m, d) prediction in the series' units}``
+    and the (d, k) snippet usage, from a plain loop over windows.
+    """
+    norm = apply_normalization(ts, bundle.norm)
+    clamped = np.clip(norm.values, 0.0, 1.0)
+    span = bundle.norm.maxs - bundle.norm.mins
+    preds, usage = {}, np.zeros((bundle.d, bundle.k), dtype=int)
+    for w in split_nonoverlapping(norm, bundle.m):
+        if w.is_clean:
+            continue
+        s0 = w.start - 1
+        inp = np.where(w.mask, clamped[s0:s0 + bundle.m].T, MISSING_FILL)
+        labels = bundle.recognizer.predict(inp[None])[0]
+        pair = np.empty((1, bundle.d, 2, bundle.m))
+        pair[0, :, 0, :] = inp
+        for j in range(bundle.d):
+            pair[0, j, 1, :] = bundle.snippet_sets[j].items[labels[j]].values
+            usage[j, labels[j]] += 1
+        pred = bundle.reconstructor.forward(pair).data[0].T
+        preds[s0] = pred * span + bundle.norm.mins
+    return preds, usage
+
+
+def reference_impute(ts, bundle):
+    """First writer wins: windows in order, each fills what is still open."""
+    preds, usage = reference_window_predictions(ts, bundle)
+    out = ts.values.copy()
+    open_ = ~ts.mask
+    for s0, pred in preds.items():
+        slot = open_[s0:s0 + bundle.m]
+        out[s0:s0 + bundle.m][slot] = pred[slot]
+        slot[:] = False
+    return out, usage
 
 
 def test_observed_points_pass_through_bit_identical(small_series, small_bundle):
@@ -100,3 +140,53 @@ def test_imputation_tracks_the_right_regime(small_series, small_bundle):
     regime_mean = small_series.values[400:800, 0].mean()
     other_mean = small_series.values[0:400, 0].mean()
     assert np.all(np.abs(filled - regime_mean) < np.abs(filled - other_mean))
+
+
+def test_batched_matches_per_window_reference(small_series, small_bundle):
+    gapped, _ = gen_mcar(small_series, 0.25, 3)
+    out, report = impute_report(gapped, small_bundle)
+    expected, usage = reference_impute(gapped, small_bundle)
+    obs = gapped.mask
+    assert np.array_equal(out.values[obs], gapped.values[obs])
+    assert np.max(np.abs(out.values - expected)) <= 1e-12
+    got = np.array([[report["snippet_usage"][name][str(r + 1)]
+                     for r in range(small_bundle.k)] for name in gapped.names])
+    assert np.array_equal(got, usage)
+
+
+def test_tail_overlap_written_once_by_earlier_window(small_series, small_bundle):
+    m = small_bundle.m
+    vals = small_series.values[:1593].copy()   # 1593 % 16 != 0
+    vals[1580:1590, 0] = np.nan                # straddles the overlap 1577..1583
+    ts = TimeSeries.from_values(vals, names=small_series.names)
+    out = impute(ts, small_bundle)
+    preds, _ = reference_window_predictions(ts, small_bundle)
+    earlier, tail = 1568, 1593 - m
+    assert set(preds) == {earlier, tail}
+    shared = slice(1580, earlier + m)          # in both windows
+    own = slice(earlier + m, 1590)             # tail window only
+
+    def pred(start, rows):
+        return preds[start][rows.start - start:rows.stop - start, 0]
+
+    assert np.allclose(out.values[shared, 0], pred(earlier, shared), rtol=0, atol=1e-12)
+    assert not np.allclose(out.values[shared, 0], pred(tail, shared))
+    assert np.allclose(out.values[own, 0], pred(tail, own), rtol=0, atol=1e-12)
+
+
+def test_chunked_equals_single_chunk(small_series, small_bundle, monkeypatch):
+    gapped, _ = gen_mcar(small_series, 0.25, 11)
+    calls = []
+    forward = small_bundle.reconstructor.forward
+    monkeypatch.setattr(small_bundle.reconstructor, "forward",
+                        lambda x: calls.append(len(x)) or forward(x))
+    chunked, report = impute_report(gapped, small_bundle)
+    gaps = report["windows"]["with_gaps"]
+    assert gaps > pipeline.GAP_CHUNK
+    assert calls == [pipeline.GAP_CHUNK, gaps - pipeline.GAP_CHUNK]
+    calls.clear()
+    monkeypatch.setattr(pipeline, "GAP_CHUNK", 10 * gaps)
+    whole, report_whole = impute_report(gapped, small_bundle)
+    assert calls == [gaps]
+    assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12
+    assert report["snippet_usage"] == report_whole["snippet_usage"]

@@ -1,12 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import two_regime_series
 from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
-from saeti.models import MISSING_FILL, RecognizerModel
+from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
 from saeti.snippets import find_all_snippets
 from saeti.training import (
     BUNDLE_MAGIC,
+    ModelBundle,
     TrainConfig,
     build_reconstructor_dataset,
     build_recognizer_dataset,
@@ -16,6 +20,7 @@ from saeti.training import (
     split_train_val,
     train_bundle,
     train_recognizer,
+    window_labels,
 )
 
 
@@ -118,6 +123,14 @@ def test_reconstructor_dataset_channels(norm_and_sets):
     # 8..15 of the window starting at row 32
     assert weight[2, 1, 8:16].tolist() == [0.0] * 8
     assert weight[2, 1, 0:8].tolist() == [1.0] * 8
+    # the batched pair builder reproduces a per-window construction exactly
+    for i, w in enumerate(split_nonoverlapping(gappy, 16)):
+        labels = window_labels(w, sets, rec)
+        pair = np.empty((2, 2, 16))
+        pair[:, 0, :] = np.where(w.mask, w.values, MISSING_FILL)
+        for j in range(2):
+            pair[j, 1, :] = sets[j].items[labels[j]].values
+        assert np.array_equal(x[i], pair)
 
 
 def test_train_recognizer_learns_separable_data(norm_and_sets):
@@ -210,3 +223,30 @@ def test_bundle_rejects_truncation(tmp_path, norm_and_sets):
     grown.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(ValueError, match="trailing bytes"):
         load_bundle(grown)
+
+
+def _edit_header(path, edit):
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + n])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(BUNDLE_MAGIC + struct.pack("<Q", len(raw)) + raw + blob[16 + n:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(format=2), "unsupported bundle format 2"),
+    (lambda h: h["config"].pop("latent"), "missing key 'latent'"),
+    (lambda h: h.pop("norm"), "missing key 'norm'"),
+    (lambda h: h["config"].update(names=["s1"]), "1 names but its config has d=2"),
+])
+def test_bundle_rejects_bad_headers(tmp_path, norm_and_sets, edit, message):
+    _, norm, sets = norm_and_sets
+    path = tmp_path / "model.bundle"
+    save_bundle(ModelBundle(names=("s1", "s2"), norm=norm, snippet_sets=sets,
+                            recognizer=RecognizerModel(2, 16, 2, seed=0),
+                            reconstructor=ReconstructorModel(2, 16, seed=0)), path)
+    assert load_bundle(path).names == ("s1", "s2")
+    _edit_header(path, edit)
+    with pytest.raises(ValueError, match=message):
+        load_bundle(path)
