@@ -40,4 +40,4 @@ series = np.concatenate([rng.normal(size=100), wave, rng.normal(size=100)])
 profile = znorm_dist_profile(wave[:32], series, ell=32)
 print()
 print("query planted at index 100, profile argmin:",
-      int(np.argmin(profile.values)))
+      int(np.argmin(profile)))

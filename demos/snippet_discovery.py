@@ -9,7 +9,6 @@ one snippet per behavior, each covering about half the series.
 
 import numpy as np
 
-from saeti.core_ts import TimeSeries
 from saeti.snippets import find_snippets, label_subsequence
 
 # 1600 points: blocks of 400 alternate between a fast and a slow wave.
@@ -35,12 +34,6 @@ print("frac total:", sum(item.frac for item in sset.items))
 
 # windows can be labeled by their nearest snippet (ranks are 1-based);
 # starts are 1-based positions in the original series
-ts = TimeSeries.from_values(values.reshape(-1, 1))
-from saeti.core_ts import Subsequence  # the window container labeling expects
-
 for name, row in [("fast", 10), ("slow", block + 10)]:
-    sub = Subsequence(coord=0, start=row + 1, length=m,
-                      values=ts.values[row:row + m, 0],
-                      mask=np.ones(m, dtype=bool))
     print(f"window from {name} regime -> snippet rank",
-          label_subsequence(sub, sset))
+          label_subsequence(values[row:row + m], row + 1, sset))

@@ -9,7 +9,6 @@ window by window. See the examples under ``demos/`` for guided tours.
 from .autograd import Adam, Tensor
 from .core_ts import (
     NormParams,
-    Subsequence,
     TimeSeries,
     apply_normalization,
     denormalize,
@@ -52,7 +51,6 @@ __all__ = [
     "Adam",
     "Tensor",
     "NormParams",
-    "Subsequence",
     "TimeSeries",
     "apply_normalization",
     "denormalize",

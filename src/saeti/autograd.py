@@ -41,15 +41,12 @@ __all__ = [
     "leaky_relu",
     "sigmoid",
     "tanh",
-    "dense",
     "softmax",
     "cross_entropy",
     "masked_mse",
     "gru_forward",
     "GRUParams",
-    "backward",
     "zero_grads",
-    "adam_step",
     "Adam",
     "glorot_uniform",
 ]
@@ -112,9 +109,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -420,11 +414,6 @@ def maxpool1d(x: Tensor, window: int = 2) -> Tensor:
     return out
 
 
-def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` with ``weight`` shaped (in, out)."""
-    return x @ weight + bias
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``; rows sum to one."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -549,10 +538,6 @@ def gru_forward(xs: list[Tensor], params: GRUParams) -> tuple[list[Tensor], Tens
     return states, h
 
 
-def backward(loss: Tensor) -> None:
-    loss.backward()
-
-
 def zero_grads(params: list[Tensor]) -> None:
     for p in params:
         p.grad = None
@@ -573,30 +558,8 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator,
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
 
 
-def adam_step(params: list[Tensor], state: dict, lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update with bias correction; ``state`` persists across calls."""
-    if "m" not in state:
-        state["m"] = [np.zeros_like(p.data) for p in params]
-        state["v"] = [np.zeros_like(p.data) for p in params]
-        state["t"] = 0
-    state["t"] += 1
-    t = state["t"]
-    for p, m, v in zip(params, state["m"], state["v"]):
-        if p.grad is None:
-            continue
-        g = p.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 class Adam:
-    """Adam optimizer over a fixed parameter list."""
+    """Adam with bias correction over a fixed parameter list."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -605,10 +568,25 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict = {}
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self):
-        adam_step(self.params, self.state, self.lr, self.beta1, self.beta2, self.eps)
+        """One update of every parameter that has a gradient."""
+        self.t += 1
+        beta1, beta2 = self.beta1, self.beta2
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** self.t)
+            v_hat = v / (1.0 - beta2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
         zero_grads(self.params)

@@ -13,20 +13,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "TimeSeries",
-    "Subsequence",
     "NormParams",
     "minmax_normalize",
     "apply_normalization",
     "denormalize",
-    "segments",
-    "all_subsequences",
     "window_starts",
     "split_nonoverlapping",
     "read_csv",
@@ -101,9 +98,6 @@ class TimeSeries:
         """Values of coordinate ``j`` (0-based), NaN at missing points."""
         return self.values[:, j]
 
-    def coord_mask(self, j: int) -> np.ndarray:
-        return self.mask[:, j]
-
     @classmethod
     def from_values(cls, values, names: Sequence[str] = ()) -> "TimeSeries":
         """Build a series from a matrix where NaN marks missing points."""
@@ -111,25 +105,6 @@ class TimeSeries:
         if values.ndim == 1:
             values = values.reshape(-1, 1)
         return cls(values=values, mask=~np.isnan(values), names=tuple(names))
-
-
-@dataclass(frozen=True)
-class Subsequence:
-    """A contiguous window of one coordinate (or of all, ``coord is None``).
-
-    ``start`` is 1-based. ``values``/``mask`` are copies shaped ``(m,)``
-    for a single coordinate and ``(d, m)`` for multivariate windows.
-    """
-
-    coord: int | None
-    start: int
-    length: int
-    values: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def is_clean(self) -> bool:
-        return bool(self.mask.all())
 
 
 @dataclass(frozen=True)
@@ -215,58 +190,6 @@ def denormalize(ts_norm: TimeSeries, params: NormParams) -> TimeSeries:
     return TimeSeries(values=out, mask=ts_norm.mask, names=ts_norm.names)
 
 
-def _coord_window(values: np.ndarray, mask: np.ndarray, coord: int | None,
-                  start0: int, m: int) -> Subsequence:
-    return Subsequence(
-        coord=coord,
-        start=start0 + 1,
-        length=m,
-        values=values[start0:start0 + m].copy(),
-        mask=mask[start0:start0 + m].copy(),
-    )
-
-
-def segments(values: np.ndarray, m: int, mask: np.ndarray | None = None,
-             coord: int | None = None) -> list[Subsequence]:
-    """Split one coordinate into its floor(n/m) disjoint length-m segments.
-
-    The trailing remainder shorter than ``m`` is dropped. Segment ``i``
-    (1-based) starts at position ``m*(i-1)+1``.
-
-    Raises
-    ------
-    ValueError
-        If ``m`` is shorter than 4 ("segment too short": the similarity
-        measure needs an inner window of at least 2) or longer than the
-        series.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if m < MIN_SEGMENT_LEN:
-        raise ValueError(f"segment too short: m={m} < {MIN_SEGMENT_LEN}")
-    if m > n:
-        raise ValueError(f"m={m} exceeds series length n={n}")
-    if mask is None:
-        mask = ~np.isnan(values)
-    return [
-        _coord_window(values, mask, coord, i * m, m) for i in range(n // m)
-    ]
-
-
-def all_subsequences(values: np.ndarray, m: int, mask: np.ndarray | None = None,
-                     coord: int | None = None) -> list[Subsequence]:
-    """All n-m+1 sliding windows of one coordinate, in position order."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if m > n:
-        raise ValueError(f"m={m} exceeds series length n={n}")
-    if mask is None:
-        mask = ~np.isnan(values)
-    return [
-        _coord_window(values, mask, coord, i, m) for i in range(n - m + 1)
-    ]
-
-
 def window_starts(n: int, m: int) -> np.ndarray:
     """0-based starts of the length-m windows that cover ``n`` steps.
 
@@ -283,21 +206,17 @@ def window_starts(n: int, m: int) -> np.ndarray:
     return starts
 
 
-def split_nonoverlapping(ts: TimeSeries, m: int) -> list[Subsequence]:
+def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cover the whole series with consecutive d-by-m windows.
 
-    Window placement follows :func:`window_starts`; ``start`` is 1-based.
+    Returns ``(starts, values, mask)``: the 0-based window starts from
+    :func:`window_starts`, and the windows' values (NaN at missing points)
+    and observed mask, each shaped ``(N, d, m)`` and gathered in one
+    fancy index, so every ``values[i, j]`` row is contiguous.
     """
-    return [
-        Subsequence(
-            coord=None,
-            start=int(s) + 1,
-            length=m,
-            values=ts.values[s:s + m].T.copy(),
-            mask=ts.mask[s:s + m].T.copy(),
-        )
-        for s in window_starts(ts.n, m)
-    ]
+    starts = window_starts(ts.n, m)
+    index = (starts[:, None, None] + np.arange(m), np.arange(ts.d)[:, None])
+    return starts, ts.values[index], ts.mask[index]
 
 
 # CSV interchange: header row of coordinate names, one row per time step,
@@ -321,12 +240,16 @@ def read_csv(path) -> TimeSeries:
                     f"{path}:{lineno}: expected {len(names)} cells, got {len(row)}"
                 )
             parsed = []
-            for cell in row:
+            for j, cell in enumerate(row):
                 cell = cell.strip()
                 if cell == "" or cell.lower() == "nan":
                     parsed.append(math.nan)
-                else:
+                    continue
+                try:
                     parsed.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
+                                     f"not a number: {cell!r}") from None
             rows.append(parsed)
             linenos.append(lineno)
     if not rows:

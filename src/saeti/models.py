@@ -17,7 +17,6 @@ from .autograd import (
     Tensor,
     concat,
     conv1d,
-    dense,
     glorot_uniform,
     gru_forward,
     leaky_relu,
@@ -103,7 +102,7 @@ class RecognizerModel:
             h = maxpool1d(relu(conv1d(h, conv.weight, conv.bias)))
         _, last = _gru_over_time(h, self.gru)
         feats = leaky_relu(last)
-        logits = dense(feats, self.head.weight, self.head.bias)
+        logits = feats @ self.head.weight + self.head.bias
         scores = logits.reshape(x.shape[0], self.d, self.k)
         return softmax(scores, axis=-1)
 
@@ -187,14 +186,14 @@ class ReconstructorModel:
             branches.append(h)             # (B, 32, m)
         merged = concat(branches, axis=1)  # (B, 32*d, m)
         _, last = _gru_over_time(merged, self.enc_gru)
-        return dense(last, self.to_latent.weight, self.to_latent.bias)
+        return last @ self.to_latent.weight + self.to_latent.bias
 
     def decode(self, z: Tensor) -> Tensor:
         """Expand (B, latent) codes back to (B, d, m) reconstructions."""
         if z.ndim != 2 or z.shape[1] != self.latent:
             raise ValueError(f"expected (B, {self.latent}) latent, got {z.shape}")
         batch = z.shape[0]
-        seed = dense(z, self.from_latent.weight, self.from_latent.bias)
+        seed = z @ self.from_latent.weight + self.from_latent.bias
         steps_in = seed.reshape(batch, self.m, self.m)   # m steps of m features
         states, _ = gru_forward(
             [steps_in[:, t, :] for t in range(self.m)], self.dec_gru)

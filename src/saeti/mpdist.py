@@ -28,7 +28,6 @@ from scipy.ndimage import minimum_filter1d
 from .core_ts import MIN_SEGMENT_LEN
 
 __all__ = [
-    "DistanceProfile",
     "ProfileMatrix",
     "default_inner_window",
     "znorm_windows",
@@ -41,17 +40,6 @@ __all__ = [
 def default_inner_window(m: int) -> int:
     """Default inner window length: half the outer window, rounded up."""
     return (m + 1) // 2
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Distances from one query window to every alignment in a target."""
-
-    query_len: int
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ def _profile_from_znormed(zq: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def znorm_dist_profile(query: np.ndarray, target: np.ndarray, ell: int) -> DistanceProfile:
+def znorm_dist_profile(query: np.ndarray, target: np.ndarray, ell: int) -> np.ndarray:
     """Distance profile of one length-``ell`` query against a target series.
 
     Entry ``k`` is the Euclidean distance between the z-normalized query
@@ -121,7 +109,7 @@ def znorm_dist_profile(query: np.ndarray, target: np.ndarray, ell: int) -> Dista
         raise ValueError("inner window exceeds target length")
     zq = znorm_windows(query, ell)[0]
     zt = znorm_windows(target, ell)
-    return DistanceProfile(query_len=ell, values=_profile_from_znormed(zq, zt))
+    return _profile_from_znormed(zq, zt)
 
 
 def _kth_smallest(pool: np.ndarray, k: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import no_grad
-from .core_ts import TimeSeries, apply_normalization, denormalize, window_starts
+from .core_ts import TimeSeries, apply_normalization, denormalize, split_nonoverlapping
 from .models import MISSING_FILL
 from .training import ModelBundle, snippet_pairs
 
@@ -47,30 +47,27 @@ def _impute_core(ts: TimeSeries, bundle: ModelBundle) -> tuple[TimeSeries, Imput
     m = bundle.m
     norm = apply_normalization(ts, bundle.norm)
     obs = ts.mask
-
-    # Model inputs are clamped to the training range; output plumbing
-    # keeps the unclamped normalized values.
-    clamped = norm.values.copy()
-    out_of_range = obs & ((clamped < 0.0) | (clamped > 1.0))
-    np.clip(clamped, 0.0, 1.0, out=clamped)
+    out_of_range = obs & ((norm.values < 0.0) | (norm.values > 1.0))
 
     filled = norm.values.copy()
     written = np.zeros_like(obs)
     usage = np.zeros((bundle.d, bundle.k), dtype=int)
-    starts = window_starts(ts.n, m)
-    offsets = np.arange(m)
-    gap_starts = starts[~obs[starts[:, None] + offsets].all(axis=(1, 2))]
+    starts, windows, window_mask = split_nonoverlapping(norm, m)
+    gap = ~window_mask.all(axis=(1, 2))
+    gap_starts, gap_values, gap_mask = starts[gap], windows[gap], window_mask[gap]
     for lo in range(0, gap_starts.shape[0], GAP_CHUNK):
-        chunk = gap_starts[lo:lo + GAP_CHUNK]
-        rows = chunk[:, None] + offsets                   # (G, m)
-        inp = np.where(obs[rows], clamped[rows], MISSING_FILL).transpose(0, 2, 1)
+        chunk = slice(lo, lo + GAP_CHUNK)
+        # Model inputs are clamped to the training range; output plumbing
+        # keeps the unclamped normalized values.
+        clamped = np.clip(gap_values[chunk], 0.0, 1.0)
+        inp = np.where(gap_mask[chunk], clamped, MISSING_FILL)  # (G, d, m)
         with no_grad():
             labels = bundle.recognizer.predict(inp)       # (G, d)
             pairs = snippet_pairs(inp, labels, bundle.snippet_sets)
             pred = bundle.reconstructor.forward(pairs).data  # (G, d, m) in [0, 1]
         for j in range(bundle.d):
             usage[j] += np.bincount(labels[:, j], minlength=bundle.k)
-        for s0, window in zip(chunk, pred):
+        for s0, window in zip(gap_starts[chunk], pred):
             slot = (~obs[s0:s0 + m]) & (~written[s0:s0 + m])   # (m, d)
             filled[s0:s0 + m][slot] = window.T[slot]
             written[s0:s0 + m][slot] = True

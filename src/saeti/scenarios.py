@@ -70,18 +70,18 @@ def gen_mcar(ts: TimeSeries, rate: float,
     if block_len > ts.n:
         raise ValueError(f"block length {block_len} exceeds n={ts.n}")
     hidden = np.zeros_like(ts.mask)
-    total = ts.mask.size
-    already = total - int(ts.mask.sum())
-    target = rate * total
     budget = int(ts.mask.sum())
-    while already + hidden.sum() < target:
-        if hidden.sum() >= budget:
+    already = ts.mask.size - budget
+    target = rate * ts.mask.size
+    n_hidden = 0
+    while already + n_hidden < target:
+        if n_hidden >= budget:
             raise ValueError(f"cannot reach missing rate {rate}: no observed points left")
         j = int(rng.integers(ts.d))
         s = int(rng.integers(ts.n - block_len + 1))
-        block = np.zeros_like(ts.mask)
-        block[s:s + block_len, j] = True
-        hidden |= block & ts.mask
+        fresh = ts.mask[s:s + block_len, j] & ~hidden[s:s + block_len, j]
+        hidden[s:s + block_len, j] |= fresh
+        n_hidden += int(fresh.sum())
     return _with_hidden(ts, hidden), hidden
 
 

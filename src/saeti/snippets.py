@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_ts import TimeSeries, Subsequence
+from .core_ts import TimeSeries
 from .mpdist import ProfileMatrix, default_inner_window, mpdist, mpdist_profile_matrix
 
 __all__ = [
@@ -161,25 +161,23 @@ def find_all_snippets(ts: TimeSeries, m: int, k: int,
     ]
 
 
-def label_subsequence(sub: Subsequence, sset: SnippetSet,
-                      ell: int | None = None) -> int:
-    """Class (1..K) of a gap-free subsequence under a snippet set.
+def label_subsequence(values: np.ndarray, start: int, sset: SnippetSet) -> int:
+    """Class (1..K) of a gap-free window of one coordinate under a snippet set.
 
-    A start position recorded in some snippet's neighbor set gets that
+    ``values`` are the window's length-m values and ``start`` its 1-based
+    position. A start recorded in some snippet's neighbor set gets that
     snippet's rank directly. Anything else (a neighbor of a non-selected
     segment, or a window from another series) is labeled by the
     MPdist-nearest snippet, ties toward the better rank.
     """
-    if not sub.is_clean:
+    if np.isnan(values).any():
         raise ValueError("cannot label a subsequence containing gaps")
     if not sset.items:
         raise ValueError("empty snippet set")
-    if ell is None:
-        ell = sset.ell
     for rank, snippet in enumerate(sset.items, start=1):
-        if sub.start in snippet.neighbors:
+        if start in snippet.neighbors:
             return rank
-    dists = [mpdist(sub.values, s.values, ell) for s in sset.items]
+    dists = [mpdist(values, s.values, sset.ell) for s in sset.items]
     return int(np.argmin(dists)) + 1
 
 

@@ -1,4 +1,4 @@
-"""Dataset assembly, the two training loops, and bundle persistence.
+"""Dataset assembly, the training loop, and bundle persistence.
 
 Training always happens in the normalized [0, 1] frame. Windows are cut
 at stride ``m`` (the final window backs up to cover the tail), the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Adam, cross_entropy, masked_mse, no_grad, zero_grads
-from .core_ts import NormParams, Subsequence, TimeSeries, split_nonoverlapping
+from .core_ts import NormParams, TimeSeries, split_nonoverlapping
 from .models import MISSING_FILL, RecognizerModel, ReconstructorModel
 from .snippets import (
     SnippetSet,
@@ -108,26 +108,22 @@ def _fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, values, MISSING_FILL)
 
 
-def window_labels(sub: Subsequence, sets: list[SnippetSet],
+def window_labels(start: int, values: np.ndarray, mask: np.ndarray,
+                  sets: list[SnippetSet],
                   recognizer: RecognizerModel | None = None) -> np.ndarray:
     """0-based snippet rank per coordinate for one (d, m) window.
 
-    Gap-free windows are labeled exactly from the snippet neighbor sets;
-    windows with holes are routed through the classifier.
+    ``start`` is the window's 0-based position. Gap-free windows are
+    labeled exactly from the snippet neighbor sets; windows with holes are
+    routed through the classifier.
     """
-    d = sub.values.shape[0]
-    if sub.is_clean:
-        labels = np.empty(d, dtype=int)
-        for j in range(d):
-            piece = Subsequence(coord=j, start=sub.start, length=sub.length,
-                                values=sub.values[j], mask=sub.mask[j])
-            labels[j] = label_subsequence(piece, sets[j]) - 1
-        return labels
+    if mask.all():
+        return np.array([label_subsequence(values[j], int(start) + 1, sset) - 1
+                         for j, sset in enumerate(sets)])
     if recognizer is None:
         raise ValueError("window has gaps and no classifier was provided")
-    filled = _fill(sub.values, sub.mask)
     with no_grad():
-        return recognizer.predict(filled[None])[0]
+        return recognizer.predict(_fill(values, mask)[None])[0]
 
 
 def build_recognizer_dataset(
@@ -138,11 +134,13 @@ def build_recognizer_dataset(
     Returns ``(X, y)`` with ``X`` shaped (N, d, m) and ``y`` (N, d),
     labels 0-based.
     """
-    windows = [w for w in split_nonoverlapping(ts_norm, m) if w.is_clean]
-    if not windows:
+    starts, values, mask = split_nonoverlapping(ts_norm, m)
+    clean = mask.all(axis=(1, 2))
+    if not clean.any():
         raise ValueError("insufficient clean data: no gap-free windows")
-    x = np.stack([w.values for w in windows])
-    y = np.stack([window_labels(w, sets) for w in windows])
+    x = values[clean]
+    y = np.stack([window_labels(s, w, k, sets)
+                  for s, w, k in zip(starts[clean], x, mask[clean])])
     return x, y
 
 
@@ -158,14 +156,15 @@ def build_reconstructor_dataset(
     the truth is observed. Windows with no observed point at all are
     dropped.
     """
-    windows = [w for w in split_nonoverlapping(ts_norm, m) if w.mask.any()]
-    if not windows:
+    starts, values, mask = split_nonoverlapping(ts_norm, m)
+    keep = mask.any(axis=(1, 2))
+    if not keep.any():
         raise ValueError("insufficient clean data: no observed points in any window")
-    labels = np.stack([window_labels(w, sets, recognizer) for w in windows])
-    inputs = np.stack([_fill(w.values, w.mask) for w in windows])
-    targets = np.stack([np.where(w.mask, w.values, 0.0) for w in windows])
-    weights = np.stack([w.mask.astype(float) for w in windows])
-    return snippet_pairs(inputs, labels, sets), targets, weights
+    starts, values, mask = starts[keep], values[keep], mask[keep]
+    labels = np.stack([window_labels(s, w, k, sets, recognizer)
+                       for s, w, k in zip(starts, values, mask)])
+    targets = np.where(mask, values, 0.0)
+    return snippet_pairs(_fill(values, mask), labels, sets), targets, mask.astype(float)
 
 
 def snippet_pairs(inputs: np.ndarray, labels: np.ndarray,
@@ -232,9 +231,56 @@ def _check_finite(value: float, what: str, epoch: int) -> None:
             "lower the learning rate or check the input scaling")
 
 
+def _fit(model, config: TrainConfig, rng: np.random.Generator,
+         train_idx: np.ndarray, batch_loss, validate) -> list[EpochStats]:
+    """Adam + early stopping on validation loss; restores the best epoch.
+
+    Each epoch visits ``train_idx`` in a fresh ``rng`` permutation, in
+    batches of ``config.batch_size``. ``batch_loss(batch)`` returns the
+    batch's loss tensor and its weight; the epoch's training loss is the
+    weighted mean of the batch losses. ``validate()`` runs without a
+    gradient graph and returns ``(val_loss, val_accuracy or None)``.
+    """
+    params = [p for _, p in model.parameters()]
+    opt = Adam(params, lr=config.lr)
+    history: list[EpochStats] = []
+    best_val = math.inf
+    best_snap = _snapshot(model)
+    stale = 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(train_idx)
+        total = 0.0
+        count = 0.0
+        for batch in _batches(order, config.batch_size):
+            loss, weight = batch_loss(batch)
+            zero_grads(params)
+            loss.backward()
+            opt.step()
+            total += loss.item() * weight
+            count += weight
+        train_loss = total / count
+        _check_finite(train_loss, "training loss", epoch)
+
+        with no_grad():
+            val_loss, val_acc = validate()
+        _check_finite(val_loss, "validation loss", epoch)
+        history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
+
+        if val_loss < best_val:
+            best_val = val_loss
+            best_snap = _snapshot(model)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    _restore(model, best_snap)
+    return history
+
+
 def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
                      config: TrainConfig) -> list[EpochStats]:
-    """Adam + early stopping on validation loss; restores the best epoch.
+    """Train the classifier with :func:`_fit`.
 
     The loss is cross-entropy summed over coordinates, averaged over the
     batch. Input windows are occluded: per sample, a share of points drawn
@@ -253,48 +299,22 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
         hide = mask_random_points(np.ones_like(val_x[i], dtype=bool),
                                   config.mask_fraction, rng)
         val_x[i][hide] = MISSING_FILL
-    params = [p for _, p in model.parameters()]
-    opt = Adam(params, lr=config.lr)
-    history: list[EpochStats] = []
-    best_val = math.inf
-    best_snap = _snapshot(model)
-    stale = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(train_idx)
-        total = 0.0
-        for batch in _batches(order, config.batch_size):
-            xb = x[batch].copy()
-            for i in range(batch.shape[0]):
-                frac = rng.uniform(0.0, 2.0 * config.mask_fraction)
-                hide = mask_random_points(np.ones_like(xb[i], dtype=bool),
-                                          frac, rng)
-                xb[i][hide] = MISSING_FILL
-            probs = model.forward(xb)
-            loss = cross_entropy(probs, y[batch]) * (1.0 / batch.shape[0])
-            zero_grads(params)
-            loss.backward()
-            opt.step()
-            total += loss.item() * batch.shape[0]
-        train_loss = total / train_idx.shape[0]
-        _check_finite(train_loss, "training loss", epoch)
 
-        with no_grad():
-            val_probs = model.forward(val_x)
-            val_loss = cross_entropy(val_probs, y[val_idx]).item() / val_idx.shape[0]
-        _check_finite(val_loss, "validation loss", epoch)
-        val_acc = float(np.mean(np.argmax(val_probs.data, axis=-1) == y[val_idx]))
-        history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
+    def batch_loss(batch):
+        xb = x[batch].copy()
+        for i in range(batch.shape[0]):
+            frac = rng.uniform(0.0, 2.0 * config.mask_fraction)
+            hide = mask_random_points(np.ones_like(xb[i], dtype=bool), frac, rng)
+            xb[i][hide] = MISSING_FILL
+        loss = cross_entropy(model.forward(xb), y[batch]) * (1.0 / batch.shape[0])
+        return loss, batch.shape[0]
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_snap = _snapshot(model)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    _restore(model, best_snap)
-    return history
+    def validate():
+        probs = model.forward(val_x)
+        val_loss = cross_entropy(probs, y[val_idx]).item() / val_idx.shape[0]
+        return val_loss, float(np.mean(np.argmax(probs.data, axis=-1) == y[val_idx]))
+
+    return _fit(model, config, rng, train_idx, batch_loss, validate)
 
 
 def train_reconstructor(model: ReconstructorModel, x: np.ndarray,
@@ -304,53 +324,25 @@ def train_reconstructor(model: ReconstructorModel, x: np.ndarray,
 
     Each epoch re-rolls which observed points are blanked out of the
     input channel; the loss still sees them, which is what teaches the
-    model to fill gaps. Validation runs without occlusion.
+    model to fill gaps. The training loss is averaged over observed
+    positions. Validation runs without occlusion.
     """
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = split_train_val(x.shape[0], config.val_fraction, rng)
-    params = [p for _, p in model.parameters()]
-    opt = Adam(params, lr=config.lr)
-    history: list[EpochStats] = []
-    best_val = math.inf
-    best_snap = _snapshot(model)
-    stale = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(train_idx)
-        total = 0.0
-        count = 0.0
-        for batch in _batches(order, config.batch_size):
-            xb = x[batch].copy()
-            for i in range(batch.shape[0]):
-                hide = mask_random_points(weight[batch[i]] > 0,
-                                          config.mask_fraction, rng)
-                xb[i, :, 0, :][hide] = MISSING_FILL
-            pred = model.forward(xb)
-            loss = masked_mse(pred, target[batch], weight[batch])
-            zero_grads(params)
-            loss.backward()
-            opt.step()
-            n_pos = float(weight[batch].sum())
-            total += loss.item() * n_pos
-            count += n_pos
-        train_loss = total / count
-        _check_finite(train_loss, "training loss", epoch)
 
-        with no_grad():
-            val_pred = model.forward(x[val_idx])
-            val_loss = masked_mse(val_pred, target[val_idx], weight[val_idx]).item()
-        _check_finite(val_loss, "validation loss", epoch)
-        history.append(EpochStats(epoch, train_loss, val_loss))
+    def batch_loss(batch):
+        xb = x[batch].copy()
+        for i in range(batch.shape[0]):
+            hide = mask_random_points(weight[batch[i]] > 0, config.mask_fraction, rng)
+            xb[i, :, 0, :][hide] = MISSING_FILL
+        loss = masked_mse(model.forward(xb), target[batch], weight[batch])
+        return loss, float(weight[batch].sum())
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_snap = _snapshot(model)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    _restore(model, best_snap)
-    return history
+    def validate():
+        pred = model.forward(x[val_idx])
+        return masked_mse(pred, target[val_idx], weight[val_idx]).item(), None
+
+    return _fit(model, config, rng, train_idx, batch_loss, validate)
 
 
 def train_bundle(
@@ -433,10 +425,14 @@ def load_bundle(path) -> ModelBundle:
     if 16 + header_len > len(blob):
         raise ValueError("truncated bundle: header extends past end of file")
     header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: bundle header is not a JSON object")
     try:
         return _bundle_from_header(header, blob, 16 + header_len)
     except KeyError as exc:
         raise ValueError(f"bundle header is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: bundle header has a field of the wrong type: {exc}") from None
 
 
 def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:

@@ -199,12 +199,12 @@ def test_adam_first_step_oracle():
     # with bias correction the very first step is lr * g / (|g| + eps)
     p = ag.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.5, -0.25])
-    state = {}
-    ag.adam_step([p], state, lr=1e-3)
+    opt = ag.Adam([p], lr=1e-3)
+    opt.step()
     expect = np.array([1.0, -2.0]) - 1e-3 * np.array([0.5, -0.25]) / (
         np.abs([0.5, -0.25]) + 1e-8)
     assert np.allclose(p.data, expect, atol=1e-12)
-    assert state["t"] == 1
+    assert opt.t == 1
 
 
 def test_adam_optimizes_a_quadratic():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -77,6 +78,45 @@ def test_non_finite_cells_exit_2(workdir, tmp_path, capsys, command):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"{bad}:6: column 2 (s2): non-finite value inf" in err
+
+
+def test_non_numeric_cell_exits_2(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    text = (workdir / "gapped.csv").read_text().splitlines()
+    cells = text[5].split(",")
+    cells[1] = "abc"
+    text[5] = ",".join(cells)
+    bad.write_text("\n".join(text) + "\n")
+    assert main(["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert f"{bad}:6: column 2 (s2): not a number: 'abc'" in capsys.readouterr().err
+
+
+def _impute_with_header(workdir, tmp_path, edit):
+    """Run ``saeti impute`` with the workdir bundle's header replaced."""
+    blob = (workdir / "model.bundle").read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    raw = json.dumps(edit(json.loads(blob[16:16 + n]))).encode("utf-8")
+    bundle = tmp_path / "edited.bundle"
+    bundle.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:])
+    rc = main(["impute", "--input", str(workdir / "gapped.csv"), "--bundle", str(bundle),
+               "--output", str(tmp_path / "out.csv")])
+    return rc, bundle
+
+
+def test_bundle_header_not_an_object_exits_2(workdir, tmp_path, capsys):
+    rc, bundle = _impute_with_header(workdir, tmp_path, lambda header: [1, 2])
+    assert rc == 2
+    assert f"{bundle}: bundle header is not a JSON object" in capsys.readouterr().err
+
+
+def test_bundle_header_field_of_wrong_type_exits_2(workdir, tmp_path, capsys):
+    def edit(header):
+        header["norm"] = [0.0, 1.0]
+        return header
+    rc, bundle = _impute_with_header(workdir, tmp_path, edit)
+    assert rc == 2
+    assert f"{bundle}: bundle header has a field of the wrong type" in capsys.readouterr().err
 
 
 def test_generate_gaps_artifacts(workdir):

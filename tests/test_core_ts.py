@@ -4,12 +4,10 @@ import pytest
 from saeti.core_ts import (
     NormParams,
     TimeSeries,
-    all_subsequences,
     apply_normalization,
     denormalize,
     minmax_normalize,
     read_csv,
-    segments,
     split_nonoverlapping,
     write_csv,
 )
@@ -87,44 +85,23 @@ def test_norm_params_validation():
         NormParams(mins=np.array([1.0]), maxs=np.array([0.0]))
 
 
-def test_segments_disjoint_cover():
-    x = np.arange(10.0)
-    segs = segments(x, 4)
-    assert len(segs) == 2
-    assert segs[0].start == 1 and segs[1].start == 5
-    assert segs[0].values.tolist() == [0, 1, 2, 3]
-
-
-def test_segments_too_short_error():
-    with pytest.raises(ValueError, match="segment too short: m=3"):
-        segments(np.arange(10.0), 3)
-    with pytest.raises(ValueError):
-        segments(np.arange(5.0), 6)
-
-
-def test_all_subsequences_count_and_starts():
-    x = np.arange(8.0)
-    subs = all_subsequences(x, 5)
-    assert len(subs) == 4
-    assert [s.start for s in subs] == [1, 2, 3, 4]
-    assert subs[-1].values.tolist() == [3, 4, 5, 6, 7]
-
-
 def test_split_nonoverlapping_tail_window():
     ts = TimeSeries.from_values(np.arange(20.0).reshape(10, 2))
-    parts = split_nonoverlapping(ts, 4)
-    assert [p.start for p in parts] == [1, 5, 7]
-    assert parts[0].values.shape == (2, 4)
+    starts, values, mask = split_nonoverlapping(ts, 4)
+    assert starts.tolist() == [0, 4, 6]
+    assert values.shape == mask.shape == (3, 2, 4)
+    assert values[2].tolist() == ts.values[6:10].T.tolist()
+    assert mask.all()
     covered = set()
-    for p in parts:
-        covered.update(range(p.start, p.start + 4))
-    assert covered == set(range(1, 11))
+    for s in starts:
+        covered.update(range(s, s + 4))
+    assert covered == set(range(10))
 
 
 def test_split_exact_multiple_has_no_overlap():
     ts = TimeSeries.from_values(np.arange(8.0).reshape(8, 1))
-    parts = split_nonoverlapping(ts, 4)
-    assert [p.start for p in parts] == [1, 5]
+    starts, _, _ = split_nonoverlapping(ts, 4)
+    assert starts.tolist() == [0, 4]
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -161,6 +138,13 @@ def test_series_rejects_non_finite_observed_cells():
         TimeSeries.from_values([[1.0, 2.0], [np.inf, 3.0]], names=("a", "b"))
     with pytest.raises(ValueError, match="row 1, column 2"):
         TimeSeries(values=np.array([[1.0, np.nan]]), mask=np.ones((1, 2), dtype=bool))
+
+
+def test_csv_rejects_non_numeric_cells(tmp_path):
+    path = tmp_path / "text.csv"
+    path.write_text("a,b\n1.0,2.0\nabc,4.0\n")
+    with pytest.raises(ValueError, match=r"text.csv:3: column 1 \(a\): not a number: 'abc'"):
+        read_csv(path)
 
 
 def test_csv_rejects_infinite_cells(tmp_path):

@@ -85,6 +85,13 @@ def test_unequal_lengths_rejected():
         mpdist(np.zeros(10), np.zeros(12))
 
 
+def test_profile_matrix_rejects_bad_segment_length():
+    with pytest.raises(ValueError, match="segment too short: m=3"):
+        mpdist_profile_matrix(np.arange(10.0), 3)
+    with pytest.raises(ValueError, match="m=6 exceeds series length n=5"):
+        mpdist_profile_matrix(np.arange(5.0), 6)
+
+
 def test_gap_input_rejected():
     a = np.arange(12.0)
     a[4] = np.nan
@@ -97,9 +104,9 @@ def test_distance_profile_shape_and_minimum():
     target = rng.normal(size=50)
     query = target[17:25].copy()
     prof = znorm_dist_profile(query, target, 8)
-    assert len(prof) == 43
-    assert prof.values[17] <= 1e-9
-    assert np.argmin(prof.values) == 17
+    assert prof.shape == (43,)
+    assert prof[17] <= 1e-9
+    assert np.argmin(prof) == 17
 
 
 def test_profile_matrix_matches_direct_calls():

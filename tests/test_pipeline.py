@@ -19,11 +19,10 @@ def reference_window_predictions(ts, bundle):
     clamped = np.clip(norm.values, 0.0, 1.0)
     span = bundle.norm.maxs - bundle.norm.mins
     preds, usage = {}, np.zeros((bundle.d, bundle.k), dtype=int)
-    for w in split_nonoverlapping(norm, bundle.m):
-        if w.is_clean:
+    for s0, _, mask in zip(*split_nonoverlapping(norm, bundle.m)):
+        if mask.all():
             continue
-        s0 = w.start - 1
-        inp = np.where(w.mask, clamped[s0:s0 + bundle.m].T, MISSING_FILL)
+        inp = np.where(mask, clamped[s0:s0 + bundle.m].T, MISSING_FILL)
         labels = bundle.recognizer.predict(inp[None])[0]
         pair = np.empty((1, bundle.d, 2, bundle.m))
         pair[0, :, 0, :] = inp

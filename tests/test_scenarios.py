@@ -75,6 +75,31 @@ def test_mcar_counts_existing_gaps_toward_rate():
     assert hidden.sum() == 0  # already past the target
 
 
+def _mcar_hidden_reference(ts, rate, seed, block_len=10):
+    """The full-mask loop gen_mcar replaced: re-sums every draw."""
+    rng = np.random.default_rng(seed)
+    hidden = np.zeros_like(ts.mask)
+    already = ts.mask.size - int(ts.mask.sum())
+    while already + hidden.sum() < rate * ts.mask.size:
+        j = int(rng.integers(ts.d))
+        s = int(rng.integers(ts.n - block_len + 1))
+        block = np.zeros_like(ts.mask)
+        block[s:s + block_len, j] = True
+        hidden |= block & ts.mask
+    return hidden
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("rate", [0.05, 0.25, 0.6])
+def test_mcar_matches_full_mask_loop(seed, rate):
+    vals = np.random.default_rng(seed).normal(size=(300, 3))
+    vals[40:70, 1] = np.nan  # existing gaps count toward the rate
+    vals[::17, 2] = np.nan
+    for ts in (full_series(n=300), TimeSeries.from_values(vals)):
+        _, hidden = gen_mcar(ts, rate, seed)
+        assert np.array_equal(hidden, _mcar_hidden_reference(ts, rate, seed))
+
+
 def test_mcar_rate_validation():
     ts = full_series()
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti.core_ts import Subsequence, minmax_normalize
+from saeti.core_ts import minmax_normalize
 from saeti.mpdist import mpdist, mpdist_profile_matrix
 from saeti.snippets import (
     assign_neighbors,
@@ -94,10 +94,7 @@ def test_label_by_neighbor_membership():
     sset = find_snippets(x, 16, 3)
     for rank, snip in enumerate(sset.items, start=1):
         start = sorted(snip.neighbors)[0]
-        sub = Subsequence(coord=0, start=start, length=16,
-                          values=x[start - 1:start + 15],
-                          mask=np.ones(16, bool))
-        assert label_subsequence(sub, sset) == rank
+        assert label_subsequence(x[start - 1:start + 15], start, sset) == rank
 
 
 def test_label_foreign_window_by_nearest_snippet():
@@ -105,9 +102,7 @@ def test_label_foreign_window_by_nearest_snippet():
     x = rng.normal(size=160)
     sset = find_snippets(x, 16, 2)
     q = rng.normal(size=16)
-    sub = Subsequence(coord=0, start=999, length=16, values=q,
-                      mask=np.ones(16, bool))
-    got = label_subsequence(sub, sset)
+    got = label_subsequence(q, 999, sset)
     dists = [mpdist(q, s.values, sset.ell) for s in sset.items]
     assert got == int(np.argmin(dists)) + 1
 
@@ -116,10 +111,8 @@ def test_label_rejects_gaps():
     sset = find_snippets(np.random.default_rng(1).normal(size=80), 8, 2)
     vals = np.ones(8)
     vals[3] = np.nan
-    sub = Subsequence(coord=0, start=1, length=8, values=vals,
-                      mask=~np.isnan(vals))
     with pytest.raises(ValueError):
-        label_subsequence(sub, sset)
+        label_subsequence(vals, 1, sset)
 
 
 def test_find_all_snippets_covers_each_coordinate():

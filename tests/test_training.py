@@ -76,7 +76,7 @@ def test_recognizer_dataset_only_clean_windows(norm_and_sets):
     vals[100:110, 0] = np.nan
     gappy = TimeSeries.from_values(vals, names=ts_norm.names)
     x, y = build_recognizer_dataset(gappy, sets, 16)
-    n_windows = len(split_nonoverlapping(gappy, 16))
+    n_windows = split_nonoverlapping(gappy, 16)[0].shape[0]
     assert x.shape[0] == y.shape[0] == n_windows - 1
     assert x.shape[1:] == (2, 16)
     assert set(np.unique(y)) <= {0, 1}
@@ -124,10 +124,10 @@ def test_reconstructor_dataset_channels(norm_and_sets):
     assert weight[2, 1, 8:16].tolist() == [0.0] * 8
     assert weight[2, 1, 0:8].tolist() == [1.0] * 8
     # the batched pair builder reproduces a per-window construction exactly
-    for i, w in enumerate(split_nonoverlapping(gappy, 16)):
-        labels = window_labels(w, sets, rec)
+    for i, (start, values, mask) in enumerate(zip(*split_nonoverlapping(gappy, 16))):
+        labels = window_labels(start, values, mask, sets, rec)
         pair = np.empty((2, 2, 16))
-        pair[:, 0, :] = np.where(w.mask, w.values, MISSING_FILL)
+        pair[:, 0, :] = np.where(mask, values, MISSING_FILL)
         for j in range(2):
             pair[j, 1, :] = sets[j].items[labels[j]].values
         assert np.array_equal(x[i], pair)
