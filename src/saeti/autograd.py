@@ -110,9 +110,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -587,6 +584,3 @@ class Adam:
             m_hat = m / (1.0 - beta1 ** self.t)
             v_hat = v / (1.0 - beta2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self):
-        zero_grads(self.params)

@@ -14,6 +14,11 @@ constant regions comparable instead of producing NaN.
 Inputs are plain 1-D float arrays; a NaN anywhere in an input is a gap
 and is rejected ("gap in MPdist input") because z-normalization is
 undefined across gaps. Callers filter gap windows beforehand.
+
+The pairwise functions take explicit differences; the whole-coordinate
+profile matrix uses the matrix-product form ``|a|^2 + |b|^2 - 2 a.b``
+(as MASS, MPdist and Time Series Snippets do) with exact recomputation
+near zero, so identical windows still score exactly 0.
 """
 
 from __future__ import annotations
@@ -35,6 +40,13 @@ __all__ = [
     "mpdist",
     "mpdist_profile_matrix",
 ]
+
+
+# The product form's absolute error is a few ulp of 2 * ell, so squared
+# distances below this are recomputed by explicit differences.
+_EXACT_SQ_DIST = 1e-6
+# Entries per segment chunk of the product (4 MB; small keeps it in cache).
+_CHUNK_ENTRIES = 1 << 19
 
 
 def default_inner_window(m: int) -> int:
@@ -89,12 +101,6 @@ def znorm_windows(series: np.ndarray, ell: int) -> np.ndarray:
     return out
 
 
-def _profile_from_znormed(zq: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """Euclidean distances between one z-normed query row and many rows."""
-    diff = zt - zq[None, :]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def znorm_dist_profile(query: np.ndarray, target: np.ndarray, ell: int) -> np.ndarray:
     """Distance profile of one length-``ell`` query against a target series.
 
@@ -107,9 +113,8 @@ def znorm_dist_profile(query: np.ndarray, target: np.ndarray, ell: int) -> np.nd
         raise ValueError(f"query length {query.shape[0]} != ell={ell}")
     if ell > target.shape[0]:
         raise ValueError("inner window exceeds target length")
-    zq = znorm_windows(query, ell)[0]
-    zt = znorm_windows(target, ell)
-    return _profile_from_znormed(zq, zt)
+    diff = znorm_windows(target, ell) - znorm_windows(query, ell)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _kth_smallest(pool: np.ndarray, k: int) -> float:
@@ -148,6 +153,23 @@ def _sliding_min(rows: np.ndarray, width: int) -> np.ndarray:
     return full[..., lo:lo + out_len]
 
 
+def _kth_smallest_of(vectors, k: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Elementwise 1-based k-th smallest over at least k arrays of ``shape``.
+
+    Keeps the k smallest values seen so far, sorted, and inserts each
+    array with one min/max pair per level: exactly the element a full
+    sort of the pooled values would put at position k.
+    """
+    low = [np.full(shape, np.inf) for _ in range(k)]
+    for v in vectors:
+        for level in low[:-1]:
+            hi = np.maximum(level, v)
+            np.minimum(level, v, out=level)
+            v = hi
+        np.minimum(low[-1], v, out=low[-1])
+    return low[-1]
+
+
 def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) -> ProfileMatrix:
     """MPdist of every subsequence against every segment of one coordinate.
 
@@ -156,12 +178,23 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     (NaN) cannot be z-normalized and are excluded on both axes; the
     exclusions are reported in the result.
 
-    The computation shares one z-normalized window matrix for the whole
-    coordinate, so a subsequence aligned with a segment is at distance
-    exactly zero. Per segment, the pooled cross profile for every
-    subsequence start is assembled from column minima (subsequence windows
-    against the segment) and per-row sliding minima (segment windows
-    against the subsequence), then reduced to its k-th smallest element.
+    Squared distances from a chunk of segments' inner windows to every
+    inner window of the coordinate come from one matrix product,
+    ``|a|^2 + |b|^2 - 2 a.b`` over the z-normalized windows, with the
+    chunk bounded to ``_CHUNK_ENTRIES`` entries. That form cancels near
+    zero, so every entry with a squared distance below 1e-6 is recomputed
+    by explicit differences: a subsequence aligned with a segment, and any
+    bit-identical pair of windows, is at distance exactly zero. Identical
+    windows share one column of every product and one row of each
+    chunk's product (``np.unique`` ids), and identical segments share one
+    result row, so bit-identical segments get bit-identical rows.
+
+    Per segment, the pooled cross profile for every subsequence start is
+    assembled from column minima (subsequence windows against the segment)
+    and per-row sliding minima (segment windows against the subsequence),
+    then reduced to its k-th smallest element by min/max insertion. All
+    reductions run on squared distances; the square root, being monotone,
+    is taken once per result entry.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -177,37 +210,56 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     n_seg = n // m
     n_sub = n - m + 1
     width = m - ell + 1  # inner windows per length-m window
-    k = math.ceil(0.05 * (2 * m))
+    k = min(math.ceil(0.05 * (2 * m)), 2 * width)
 
     finite = ~np.isnan(values)
-    sub_ok = (
-        sliding_window_view(finite, m).all(axis=1)
-        if n_sub > 0
-        else np.zeros(0, dtype=bool)
-    )
-    seg_ok = np.array([finite[r * m:(r + 1) * m].all() for r in range(n_seg)])
-
-    zt = znorm_windows(values, ell)
-
+    sub_ok = sliding_window_view(finite, m).all(axis=1)
+    seg_ok = finite[:n_seg * m].reshape(n_seg, m).all(axis=1)
+    gap = ~sliding_window_view(finite, ell).all(axis=1)
     kept_segments = np.flatnonzero(seg_ok)
     kept_subs = np.flatnonzero(sub_ok)
-    dist = np.empty((kept_segments.shape[0], kept_subs.shape[0]))
 
-    for row, r in enumerate(kept_segments):
-        seg_rows = zt[r * m:r * m + width]
-        # profiles of each segment inner window against the whole coordinate
-        prof = np.empty((width, zt.shape[0]))
-        for w in range(width):
-            prof[w] = _profile_from_znormed(seg_rows[w], zt)
-        prof[np.isnan(prof)] = np.inf  # gap windows never win a minimum
+    zt = znorm_windows(values, ell)
+    # Gap windows reach only excluded subsequences; zeros keep NaN out of
+    # the product and the sliding minima.
+    zt[gap] = 0.0
+    n_win = zt.shape[0]
+    # Every window is computed as its first bit-identical occurrence:
+    # column col_of[p] of the product. Without repeats all ids below are
+    # the identity and nothing needs gathering.
+    _, first, inverse = np.unique(zt, axis=0, return_index=True, return_inverse=True)
+    cols = np.sort(first)
+    col_of = np.searchsorted(cols, first[inverse.reshape(-1)])
+    repeats = cols.shape[0] < n_win
+    zc = zt[cols]
+    sq = np.einsum("ij,ij->i", zc, zc)
 
-        col_min = prof.min(axis=0)                      # best segment window per position
-        ab = sliding_window_view(col_min, width)        # (n_sub, width)
-        ba = _sliding_min(prof, width)                  # (width, n_sub)
-        pool = np.concatenate([ab[kept_subs], ba[:, kept_subs].T], axis=1)
-        kk = min(k, pool.shape[1])
-        dist[row] = np.partition(pool, kk - 1, axis=1)[:, kk - 1]
+    # Segments made of the same window columns share one result row.
+    seg_cols = col_of[kept_segments[:, None] * m + np.arange(width)]
+    uniq_segs, seg_of = np.unique(seg_cols, axis=0, return_inverse=True)
+    dist = np.empty((uniq_segs.shape[0], kept_subs.shape[0]))
+    chunk = max(1, _CHUNK_ENTRIES // (width * n_win))
+    for lo in range(0, uniq_segs.shape[0], chunk):
+        rows, row_of = np.unique(uniq_segs[lo:lo + chunk], return_inverse=True)
+        d2 = zc[rows] @ zc.T
+        d2 *= -2.0
+        d2 += sq[rows, None]
+        d2 += sq
+        near_r, near_c = np.divmod(np.flatnonzero(d2 < _EXACT_SQ_DIST), d2.shape[1])
+        diff = zc[rows[near_r]] - zc[near_c]
+        d2[near_r, near_c] = np.einsum("ij,ij->i", diff, diff)
+        if repeats:
+            d2 = d2[np.ix_(row_of.reshape(-1), col_of)]
 
+        d2 = d2.reshape(-1, width, n_win)
+        col_min = d2.min(axis=1)  # best segment window per position
+        pool = [col_min[:, j:j + n_sub] for j in range(width)]
+        pool += list(_sliding_min(d2, width).transpose(1, 0, 2))
+        kth = _kth_smallest_of(pool, k, (col_min.shape[0], n_sub))
+        dist[lo:lo + chunk] = np.sqrt(kth[:, kept_subs])
+
+    if repeats:
+        dist = dist[seg_of.reshape(-1)]
     return ProfileMatrix(
         dist=dist,
         segment_indices=kept_segments + 1,

@@ -214,7 +214,7 @@ def test_adam_optimizes_a_quadratic():
     opt = ag.Adam([p], lr=0.05)
     for _ in range(400):
         loss = ((p - target) ** 2).sum()
-        opt.zero_grad()
+        ag.zero_grads([p])
         loss.backward()
         opt.step()
     assert np.allclose(p.data, target, atol=1e-3)

@@ -1,12 +1,18 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import two_regime_series
 from saeti.cli import main
-from saeti.core_ts import read_csv, write_csv
+from saeti.core_ts import TimeSeries, read_csv, write_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +202,34 @@ def test_mcar_scenario_via_cli(tmp_path):
     gapped = read_csv(tmp_path / "g.csv")
     assert gapped.n_missing / gapped.mask.size >= 0.2
     assert (tmp_path / "m.csv").exists()
+
+
+def _cli_with_blas_threads(argv, threads):
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from saeti.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Snippet JSON and bundle bytes match under one and two BLAS threads.
+
+    The noisy n=4800 history is large enough for the snippet search's
+    matrix products to split across threads, which changes the last bits
+    of some distances; the outputs must not change.
+    """
+    ts = two_regime_series(n=4800, block=400)
+    noise = 0.01 * np.random.default_rng(0).normal(size=ts.values.shape)
+    write_csv(TimeSeries.from_values(ts.values + noise, names=ts.names), tmp_path / "x.csv")
+    outputs = {}
+    for threads in (1, 2):
+        snippets, bundle = tmp_path / f"s{threads}.json", tmp_path / f"b{threads}.bundle"
+        _cli_with_blas_threads(["snippets", "--input", str(tmp_path / "x.csv"),
+                                "--output", str(snippets), "--m", "16", "--k", "2"], threads)
+        _cli_with_blas_threads(["train", "--input", str(tmp_path / "x.csv"),
+                                "--output", str(bundle), "--m", "16", "--k", "2",
+                                "--max-epochs", "1"], threads)
+        outputs[threads] = (snippets.read_bytes(), bundle.read_bytes())
+    assert outputs[1][0] == outputs[2][0]
+    assert outputs[1][1] == outputs[2][1]

@@ -1,13 +1,25 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import minimum_filter1d
 
+from conftest import three_regime_series, two_regime_series
+from saeti.core_ts import TimeSeries
 from saeti.mpdist import (
+    ProfileMatrix,
     default_inner_window,
     mpdist,
     mpdist_profile_matrix,
     znorm_dist_profile,
     znorm_windows,
 )
+from saeti.snippets import assign_neighbors, find_all_snippets, snippet_sets_to_json
+
+MPDIST = importlib.import_module("saeti.mpdist")
+SNIPPETS = importlib.import_module("saeti.snippets")
 
 
 def brute_mpdist(a, b, ell):
@@ -145,3 +157,104 @@ def test_profile_matrix_excludes_gapped_rows_and_columns():
         assert not (st <= 31 <= st + 11)
     assert not np.isnan(pm.dist).any()
     assert np.isfinite(pm.dist).all()
+
+
+def reference_profile_matrix(values, m, ell=None):
+    """The explicit-difference loop the matrix-product form replaced.
+
+    For every segment and every one of its inner windows, a full
+    difference array against all windows of the coordinate.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    if ell is None:
+        ell = default_inner_window(m)
+    n_seg, width = n // m, m - ell + 1
+    k = math.ceil(0.05 * (2 * m))
+    finite = ~np.isnan(values)
+    sub_ok = sliding_window_view(finite, m).all(axis=1)
+    seg_ok = np.array([finite[r * m:(r + 1) * m].all() for r in range(n_seg)])
+    zt = znorm_windows(values, ell)
+    kept_segments, kept_subs = np.flatnonzero(seg_ok), np.flatnonzero(sub_ok)
+    dist = np.empty((kept_segments.shape[0], kept_subs.shape[0]))
+    for row, r in enumerate(kept_segments):
+        prof = np.empty((width, zt.shape[0]))
+        for w in range(width):
+            diff = zt - zt[r * m + w][None, :]
+            prof[w] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        prof[np.isnan(prof)] = np.inf
+        ab = sliding_window_view(prof.min(axis=0), width)
+        full = minimum_filter1d(prof, size=width, axis=-1, mode="constant", cval=np.inf)
+        ba = full[:, width // 2:width // 2 + n - m + 1]
+        pool = np.concatenate([ab[kept_subs], ba[:, kept_subs].T], axis=1)
+        kk = min(k, pool.shape[1])
+        dist[row] = np.partition(pool, kk - 1, axis=1)[:, kk - 1]
+    return ProfileMatrix(
+        dist=dist,
+        segment_indices=kept_segments + 1,
+        subseq_starts=kept_subs + 1,
+        excluded_segments=np.flatnonzero(~seg_ok) + 1,
+        excluded_starts=np.flatnonzero(~sub_ok) + 1,
+        m=m,
+        ell=ell,
+    )
+
+
+def _walks_with_gaps():
+    """Random walks with NaN gaps, constant stretches and copied blocks.
+
+    The copies land off the segment grid, so later segments reuse earlier
+    windows out of order.
+    """
+    rng = np.random.default_rng(17)
+    cols = np.cumsum(rng.normal(size=(900, 2)), axis=0)
+    cols[100:150, 0] = 2.5
+    cols[400:413, 1] = -1.0
+    cols[rng.integers(0, 900, 6), 0] = np.nan
+    cols[rng.integers(0, 900, 3), 1] = np.nan
+    for src, dst, length in ((37, 605, 70), (5, 243, 40), (300, 770, 50), (130, 460, 30)):
+        cols[dst:dst + length] = cols[src:src + length]
+    return TimeSeries.from_values(cols), 12, 3
+
+
+def _planted_blocks():
+    """Bit-exact blocks of lengths off the segment grid, tiled in runs."""
+    rng = np.random.default_rng(23)
+    alphabet = [np.round(rng.normal(size=size), 2) for size in (7, 11, 20)]
+    cols = []
+    for _ in range(2):
+        parts = [np.tile(alphabet[i], reps)
+                 for i, reps in zip(rng.integers(0, 3, 40), rng.integers(1, 5, 40))]
+        cols.append(np.concatenate(parts)[:1200])
+    return TimeSeries.from_values(np.stack(cols, axis=1)), 16, 4
+
+
+REFERENCE_FIXTURES = {
+    "three_regime": lambda: (three_regime_series(n=2400), 32, 3),
+    "two_regime": lambda: (two_regime_series(), 16, 2),
+    "walks_with_gaps": _walks_with_gaps,
+    "planted_blocks": _planted_blocks,
+}
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 3], ids=["default", "1seg", "3seg"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_FIXTURES))
+def test_profile_matrix_matches_explicit_differences(name, per_chunk, monkeypatch):
+    """Same zeros, same neighbors and the same snippet JSON as the loop."""
+    ts, m, k = REFERENCE_FIXTURES[name]()
+    if per_chunk is not None:  # segments per chunk of the matrix product
+        ell = default_inner_window(m)
+        monkeypatch.setattr(MPDIST, "_CHUNK_ENTRIES",
+                            per_chunk * (m - ell + 1) * (ts.n - ell + 1))
+    for j in range(ts.d):
+        got = mpdist_profile_matrix(ts.coord(j), m)
+        ref = reference_profile_matrix(ts.coord(j), m)
+        for field in ("segment_indices", "subseq_starts",
+                      "excluded_segments", "excluded_starts"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert np.array_equal(got.dist == 0.0, ref.dist == 0.0)
+        assert np.abs(got.dist - ref.dist).max() <= 1e-12
+        assert assign_neighbors(got) == assign_neighbors(ref)
+    got_json = snippet_sets_to_json(find_all_snippets(ts, m, k))
+    monkeypatch.setattr(SNIPPETS, "mpdist_profile_matrix", reference_profile_matrix)
+    assert got_json == snippet_sets_to_json(find_all_snippets(ts, m, k))

@@ -1,21 +1,24 @@
-"""Property tests: the imputation guarantees hold for random shapes and gaps.
+"""Property tests: the imputation and MPdist guarantees hold for random inputs.
 
 Bundles here hold untrained models with a fixed seed and snippet sets
 found on a random series: the guarantees under test are about the
 windowing and write-back plumbing, which must hold whatever the models
-predict.
+predict. The MPdist properties run on random walks with bit-identical
+repeated blocks, constant stretches and gaps.
 """
 
 import functools
+import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from saeti.core_ts import NormParams, TimeSeries, split_nonoverlapping, window_starts
 from saeti.models import RecognizerModel, ReconstructorModel
+from saeti.mpdist import default_inner_window, mpdist, mpdist_profile_matrix
 from saeti.pipeline import impute
-from saeti.snippets import find_all_snippets
+from saeti.snippets import find_all_snippets, find_snippets
 from saeti.training import ModelBundle
 
 K = 2
@@ -89,3 +92,81 @@ def test_split_nonoverlapping_covers_every_step(case):
         assert np.array_equal(window_mask, ts.mask[s:s + m].T)
         assert np.array_equal(window, ts.values[s:s + m].T, equal_nan=True)
     assert covered.all()
+
+
+@st.composite
+def repeated_block_series(draw):
+    """A random walk with repeated blocks, a constant stretch and gaps.
+
+    Returns ``(values, m)``. One repeat may copy a whole segment onto
+    another (bit-identical segments); the others land anywhere.
+    """
+    m = draw(st.sampled_from([8, 12, 16]))
+    n = draw(st.integers(2 * m, 8 * m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.cumsum(rng.normal(size=n))
+    n_seg = n // m
+    if draw(st.booleans()):
+        a = draw(st.integers(0, n_seg - 1))
+        b = (a + draw(st.integers(1, n_seg - 1))) % n_seg
+        x[b * m:(b + 1) * m] = x[a * m:(a + 1) * m].copy()
+    for _ in range(draw(st.integers(0, 2))):
+        length = draw(st.integers(m // 2, 2 * m))
+        src, dst = draw(st.integers(0, n - length)), draw(st.integers(0, n - length))
+        x[dst:dst + length] = x[src:src + length].copy()
+    if draw(st.booleans()):
+        s = draw(st.integers(0, n - m))
+        x[s:s + draw(st.integers(1, m))] = x[s]
+    for _ in range(draw(st.integers(0, 2))):
+        x[draw(st.integers(0, n - 1))] = np.nan
+    return x, m
+
+
+@settings(deadline=None, max_examples=80)
+@given(repeated_block_series())
+def test_profile_matrix_matches_direct_mpdist_and_repeats(case):
+    x, m = case
+    pm = mpdist_profile_matrix(x, m)
+    ell = default_inner_window(m)
+    assert (pm.dist >= 0.0).all()
+    for row, seg in enumerate(pm.segment_indices):
+        seg_vals = x[(seg - 1) * m:seg * m]
+        for col, start in enumerate(pm.subseq_starts):
+            direct = mpdist(seg_vals, x[start - 1:start - 1 + m], ell)
+            assert abs(pm.dist[row, col] - direct) <= 1e-9
+        aligned = np.flatnonzero(pm.subseq_starts == (seg - 1) * m + 1)[0]
+        assert pm.dist[row, aligned] == 0.0
+    seg_bytes = [x[(seg - 1) * m:seg * m].tobytes() for seg in pm.segment_indices]
+    for r1 in range(len(seg_bytes)):
+        for r2 in range(r1):
+            if seg_bytes[r1] == seg_bytes[r2]:
+                assert pm.dist[r1].tobytes() == pm.dist[r2].tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(repeated_block_series(), st.integers(0, 2**32 - 1))
+def test_mpdist_is_symmetric_and_zero_on_self(case, seed):
+    x, m = case
+    rng = np.random.default_rng(seed)
+    clean = np.nan_to_num(x, nan=0.5)
+    a0, b0 = rng.integers(0, x.shape[0] - m + 1, 2)
+    a, b = clean[a0:a0 + m], clean[b0:b0 + m]
+    assert mpdist(a, b) == mpdist(b, a)
+    assert mpdist(a, a) == 0.0
+
+
+@settings(deadline=None, max_examples=80)
+@given(repeated_block_series(), st.integers(1, 4))
+def test_snippet_fracs_partition_retained_subsequences(case, k):
+    x, m = case
+    pm = mpdist_profile_matrix(x, m)
+    assume(pm.subseq_starts.shape[0] > 0 and k <= pm.segment_indices.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k=1 warns about a degenerate classifier
+        sset = find_snippets(x, m, k)
+    neighbor_sets = [item.neighbors for item in sset.items]
+    assert sum(len(s) for s in neighbor_sets) == len(frozenset().union(*neighbor_sets))
+    assert frozenset().union(*neighbor_sets) == frozenset(pm.subseq_starts.tolist())
+    for item in sset.items:
+        assert item.frac == len(item.neighbors) / pm.subseq_starts.shape[0]
+    assert abs(sum(item.frac for item in sset.items) - 1.0) <= 1e-12
