@@ -61,7 +61,13 @@ def _read_mask_csv(path: str, shape: tuple[int, int]) -> np.ndarray:
         for lineno, cells in enumerate(reader, start=2):
             if len(cells) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two cells")
-            r, c = int(cells[0]) - 1, int(cells[1]) - 1
+            pos = []
+            for cell in cells:
+                try:
+                    pos.append(int(cell) - 1)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not an integer: {cell!r}") from None
+            r, c = pos
             if not (0 <= r < shape[0] and 0 <= c < shape[1]):
                 raise ValueError(f"{path}:{lineno}: position out of range")
             hidden[r, c] = True
@@ -115,7 +121,7 @@ def cmd_generate_gaps(args: argparse.Namespace) -> None:
     ts = read_csv(args.input)
     rng = np.random.default_rng(args.seed)
     if args.scenario == "blackout":
-        gapped, hidden = gen_blackout(ts, args.length or 10, rng)
+        gapped, hidden = gen_blackout(ts, 10 if args.length is None else args.length, rng)
     elif args.scenario == "mcar":
         gapped, hidden = gen_mcar(ts, args.rate, rng)
     else:

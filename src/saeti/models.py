@@ -3,7 +3,8 @@
 Both operate on fixed-length windows cut from a min-max normalized
 series, with missing points filled with -1 so gaps sit outside the
 observed [0, 1] range. Shapes follow the (batch, coordinate, time)
-convention throughout.
+convention throughout. Every inference, in training and in imputation,
+prepares windows with :func:`model_inputs` and runs through :func:`infer`.
 """
 
 from __future__ import annotations
@@ -21,14 +22,17 @@ from .autograd import (
     gru_forward,
     leaky_relu,
     maxpool1d,
+    no_grad,
     relu,
     sigmoid,
     softmax,
 )
 
-__all__ = ["RecognizerModel", "ReconstructorModel", "MISSING_FILL"]
+__all__ = ["RecognizerModel", "ReconstructorModel", "MISSING_FILL", "model_inputs", "infer"]
 
 MISSING_FILL = -1.0
+# Windows per graph-free forward in :func:`infer`; bounds model memory.
+GAP_CHUNK = 64
 
 KERNEL = 5
 RECOGNIZER_FILTERS = (256, 128, 64)
@@ -49,6 +53,23 @@ class _Dense:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.weight = glorot_uniform((n_in, n_out), rng)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
+
+
+def model_inputs(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Windows as both models read them: values clamped to [0, 1], gaps filled."""
+    return np.where(mask, np.clip(values, 0.0, 1.0), MISSING_FILL)
+
+
+def infer(forward, x: np.ndarray) -> np.ndarray:
+    """``forward`` over the rows of ``x`` in ``GAP_CHUNK`` batches, graph-free.
+
+    Chunk outputs (arrays or tensors) are joined along the first axis. An
+    empty ``x`` still makes one call, so the result has the right shape.
+    """
+    with no_grad():
+        outs = [forward(x[lo:lo + GAP_CHUNK])
+                for lo in range(0, max(x.shape[0], 1), GAP_CHUNK)]
+    return np.concatenate([o.data if isinstance(o, Tensor) else o for o in outs])
 
 
 def _gru_over_time(x: Tensor, params: GRUParams) -> tuple[list[Tensor], Tensor]:

@@ -54,6 +54,16 @@ def default_inner_window(m: int) -> int:
     return (m + 1) // 2
 
 
+def _inner_window(ell: int | None, m: int) -> int:
+    """``ell``, or the default for ``m``; a window below 2 z-normalizes to 0."""
+    ell = default_inner_window(m) if ell is None else ell
+    if ell < 2:
+        raise ValueError(f"inner window ell={ell} is below 2")
+    if ell > m:
+        raise ValueError(f"inner window ell={ell} exceeds window length m={m}")
+    return ell
+
+
 @dataclass(frozen=True)
 class ProfileMatrix:
     """MPdist of every retained subsequence against every retained segment.
@@ -129,11 +139,7 @@ def mpdist(a: np.ndarray, b: np.ndarray, ell: int | None = None) -> float:
     b = _check_clean(b, "second window")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"window lengths differ: {a.shape[0]} != {b.shape[0]}")
-    m = a.shape[0]
-    if ell is None:
-        ell = default_inner_window(m)
-    if ell > m:
-        raise ValueError(f"inner window ell={ell} exceeds window length m={m}")
+    ell = _inner_window(ell, a.shape[0])
     za = znorm_windows(a, ell)
     zb = znorm_windows(b, ell)
     # Full cross-distance table; differencing (not the dot-product identity)
@@ -202,10 +208,7 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
         raise ValueError(f"segment too short: m={m} < {MIN_SEGMENT_LEN}")
     if m > n:
         raise ValueError(f"m={m} exceeds series length n={n}")
-    if ell is None:
-        ell = default_inner_window(m)
-    if ell > m:
-        raise ValueError(f"inner window ell={ell} exceeds m={m}")
+    ell = _inner_window(ell, m)
 
     n_seg = n // m
     n_sub = n - m + 1

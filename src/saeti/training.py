@@ -19,7 +19,7 @@ import numpy as np
 
 from .autograd import Adam, cross_entropy, masked_mse, no_grad, zero_grads
 from .core_ts import NormParams, TimeSeries, split_nonoverlapping
-from .models import MISSING_FILL, RecognizerModel, ReconstructorModel
+from .models import MISSING_FILL, RecognizerModel, ReconstructorModel, infer, model_inputs
 from .snippets import (
     SnippetSet,
     label_subsequence,
@@ -33,6 +33,7 @@ __all__ = [
     "ModelBundle",
     "build_recognizer_dataset",
     "build_reconstructor_dataset",
+    "label_windows",
     "snippet_pairs",
     "mask_random_points",
     "split_train_val",
@@ -46,6 +47,9 @@ __all__ = [
 
 BUNDLE_MAGIC = b"SAETIMB1"
 BUNDLE_FORMAT = 1
+# Share of windows held out for validation, and of points occluded.
+VAL_FRACTION = 0.25
+MASK_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,13 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 10
-    val_fraction: float = 0.25
-    mask_fraction: float = 0.25
+
+    def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -103,27 +112,26 @@ class ModelBundle:
         return self.snippet_sets[0].ell
 
 
-def _fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Missing points become the out-of-range fill value."""
-    return np.where(mask, values, MISSING_FILL)
-
-
-def window_labels(start: int, values: np.ndarray, mask: np.ndarray,
+def label_windows(starts: np.ndarray, values: np.ndarray, mask: np.ndarray,
                   sets: list[SnippetSet],
                   recognizer: RecognizerModel | None = None) -> np.ndarray:
-    """0-based snippet rank per coordinate for one (d, m) window.
+    """0-based snippet rank per coordinate of (N, d, m) windows, shape (N, d).
 
-    ``start`` is the window's 0-based position. Gap-free windows are
+    ``starts`` are the windows' 0-based positions. Gap-free windows are
     labeled exactly from the snippet neighbor sets; windows with holes are
-    routed through the classifier.
+    routed through the classifier with :func:`models.infer`.
     """
-    if mask.all():
-        return np.array([label_subsequence(values[j], int(start) + 1, sset) - 1
-                         for j, sset in enumerate(sets)])
-    if recognizer is None:
-        raise ValueError("window has gaps and no classifier was provided")
-    with no_grad():
-        return recognizer.predict(_fill(values, mask)[None])[0]
+    clean = mask.all(axis=(1, 2))
+    labels = np.empty(mask.shape[:2], dtype=int)
+    for i in np.flatnonzero(clean):
+        labels[i] = [label_subsequence(values[i, j], int(starts[i]) + 1, sset) - 1
+                     for j, sset in enumerate(sets)]
+    if not clean.all():
+        if recognizer is None:
+            raise ValueError("window has gaps and no classifier was provided")
+        labels[~clean] = infer(recognizer.predict,
+                               model_inputs(values[~clean], mask[~clean]))
+    return labels
 
 
 def build_recognizer_dataset(
@@ -139,9 +147,7 @@ def build_recognizer_dataset(
     if not clean.any():
         raise ValueError("insufficient clean data: no gap-free windows")
     x = values[clean]
-    y = np.stack([window_labels(s, w, k, sets)
-                  for s, w, k in zip(starts[clean], x, mask[clean])])
-    return x, y
+    return x, label_windows(starts[clean], x, mask[clean], sets)
 
 
 def build_reconstructor_dataset(
@@ -161,10 +167,9 @@ def build_reconstructor_dataset(
     if not keep.any():
         raise ValueError("insufficient clean data: no observed points in any window")
     starts, values, mask = starts[keep], values[keep], mask[keep]
-    labels = np.stack([window_labels(s, w, k, sets, recognizer)
-                       for s, w, k in zip(starts, values, mask)])
+    labels = label_windows(starts, values, mask, sets, recognizer)
     targets = np.where(mask, values, 0.0)
-    return snippet_pairs(_fill(values, mask), labels, sets), targets, mask.astype(float)
+    return snippet_pairs(model_inputs(values, mask), labels, sets), targets, mask.astype(float)
 
 
 def snippet_pairs(inputs: np.ndarray, labels: np.ndarray,
@@ -293,17 +298,17 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
     history rows is measured on those.
     """
     rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = split_train_val(x.shape[0], config.val_fraction, rng)
+    train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
     val_x = x[val_idx].copy()
     for i in range(val_x.shape[0]):
         hide = mask_random_points(np.ones_like(val_x[i], dtype=bool),
-                                  config.mask_fraction, rng)
+                                  MASK_FRACTION, rng)
         val_x[i][hide] = MISSING_FILL
 
     def batch_loss(batch):
         xb = x[batch].copy()
         for i in range(batch.shape[0]):
-            frac = rng.uniform(0.0, 2.0 * config.mask_fraction)
+            frac = rng.uniform(0.0, 2.0 * MASK_FRACTION)
             hide = mask_random_points(np.ones_like(xb[i], dtype=bool), frac, rng)
             xb[i][hide] = MISSING_FILL
         loss = cross_entropy(model.forward(xb), y[batch]) * (1.0 / batch.shape[0])
@@ -328,12 +333,12 @@ def train_reconstructor(model: ReconstructorModel, x: np.ndarray,
     positions. Validation runs without occlusion.
     """
     rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = split_train_val(x.shape[0], config.val_fraction, rng)
+    train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
 
     def batch_loss(batch):
         xb = x[batch].copy()
         for i in range(batch.shape[0]):
-            hide = mask_random_points(weight[batch[i]] > 0, config.mask_fraction, rng)
+            hide = mask_random_points(weight[batch[i]] > 0, MASK_FRACTION, rng)
             xb[i, :, 0, :][hide] = MISSING_FILL
         loss = masked_mse(model.forward(xb), target[batch], weight[batch])
         return loss, float(weight[batch].sum())

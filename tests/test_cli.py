@@ -186,6 +186,64 @@ def test_bad_parameters_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_zero_blackout_length_exits_2(tmp_path, capsys):
+    write_csv(two_regime_series(n=400, block=100), tmp_path / "x.csv")
+    rc = main(["generate-gaps", "--input", str(tmp_path / "x.csv"),
+               "--output", str(tmp_path / "g.csv"),
+               "--scenario", "blackout", "--length", "0"])
+    assert rc == 2
+    assert "block length 0 out of range" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-epochs", "0", "max_epochs must be at least 1, got 0"),
+    ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+    ("--patience", "0", "patience must be at least 1, got 0"),
+    ("--lr", "nan", "lr must be positive and finite, got nan"),
+    ("--lr", "inf", "lr must be positive and finite, got inf"),
+    ("--lr", "0", "lr must be positive and finite, got 0.0"),
+    ("--lr", "-0.001", "lr must be positive and finite, got -0.001"),
+])
+def test_bad_training_flags_exit_2_before_discovery(tmp_path, capsys, monkeypatch,
+                                                    flag, value, message):
+    write_csv(two_regime_series(n=400, block=100), tmp_path / "x.csv")
+    monkeypatch.setattr("saeti.cli.find_all_snippets", lambda *a, **k: pytest.fail("ran"))
+    rc = main(["train", "--input", str(tmp_path / "x.csv"),
+               "--output", str(tmp_path / "m.bundle"), "--m", "16", "--k", "2",
+               flag, value])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.bundle").exists()
+
+
+@pytest.mark.parametrize("ell, message", [
+    ("0", "inner window ell=0 is below 2"),
+    ("1", "inner window ell=1 is below 2"),
+    ("-3", "inner window ell=-3 is below 2"),
+    ("17", "inner window ell=17 exceeds window length m=16"),
+])
+def test_bad_inner_window_exits_2(tmp_path, capsys, ell, message):
+    write_csv(two_regime_series(n=400, block=100), tmp_path / "x.csv")
+    rc = main(["snippets", "--input", str(tmp_path / "x.csv"),
+               "--output", str(tmp_path / "s.json"), "--m", "16", "--k", "2",
+               "--ell", ell])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_non_integer_mask_cell_exits_2(workdir, tmp_path, capsys):
+    mask = tmp_path / "mask.csv"
+    lines = (workdir / "gapped.mask.csv").read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ",x"
+    mask.write_text("\n".join(lines) + "\n")
+    rc = main(["evaluate", "--imputed", str(workdir / "imputed.csv"),
+               "--truth", str(workdir / "full.csv"), "--mask", str(mask)])
+    assert rc == 2
+    assert f"{mask}:4: not an integer: 'x'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

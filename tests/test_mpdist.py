@@ -102,6 +102,13 @@ def test_profile_matrix_rejects_bad_segment_length():
         mpdist_profile_matrix(np.arange(10.0), 3)
     with pytest.raises(ValueError, match="m=6 exceeds series length n=5"):
         mpdist_profile_matrix(np.arange(5.0), 6)
+    for ell in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"inner window ell={ell} is below 2"):
+            mpdist_profile_matrix(np.arange(40.0), 8, ell)
+        with pytest.raises(ValueError, match=f"inner window ell={ell} is below 2"):
+            mpdist(np.arange(8.0), np.arange(8.0), ell)
+    with pytest.raises(ValueError, match="ell=9 exceeds window length m=8"):
+        mpdist_profile_matrix(np.arange(40.0), 8, 9)
 
 
 def test_gap_input_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti import pipeline
+from saeti import models
 from saeti.core_ts import TimeSeries, apply_normalization, split_nonoverlapping
 from saeti.models import MISSING_FILL
 from saeti.pipeline import impute, impute_report
@@ -181,10 +181,10 @@ def test_chunked_equals_single_chunk(small_series, small_bundle, monkeypatch):
                         lambda x: calls.append(len(x)) or forward(x))
     chunked, report = impute_report(gapped, small_bundle)
     gaps = report["windows"]["with_gaps"]
-    assert gaps > pipeline.GAP_CHUNK
-    assert calls == [pipeline.GAP_CHUNK, gaps - pipeline.GAP_CHUNK]
+    assert gaps > models.GAP_CHUNK
+    assert calls == [models.GAP_CHUNK, gaps - models.GAP_CHUNK]
     calls.clear()
-    monkeypatch.setattr(pipeline, "GAP_CHUNK", 10 * gaps)
+    monkeypatch.setattr(models, "GAP_CHUNK", 10 * gaps)
     whole, report_whole = impute_report(gapped, small_bundle)
     assert calls == [gaps]
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12

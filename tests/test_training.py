@@ -5,23 +5,39 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
+from saeti import models
+from saeti.autograd import no_grad
 from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
-from saeti.snippets import find_all_snippets
+from saeti.scenarios import gen_mcar
+from saeti.snippets import find_all_snippets, label_subsequence
 from saeti.training import (
     BUNDLE_MAGIC,
+    MASK_FRACTION,
+    VAL_FRACTION,
     ModelBundle,
     TrainConfig,
     build_reconstructor_dataset,
     build_recognizer_dataset,
+    label_windows,
     load_bundle,
     mask_random_points,
     save_bundle,
     split_train_val,
     train_bundle,
     train_recognizer,
-    window_labels,
 )
+
+
+def window_labels(start, values, mask, sets, recognizer=None):
+    """Per-window reference: one (d, m) window, gap windows predicted batch-1."""
+    if mask.all():
+        return np.array([label_subsequence(values[j], int(start) + 1, sset) - 1
+                         for j, sset in enumerate(sets)])
+    if recognizer is None:
+        raise ValueError("window has gaps and no classifier was provided")
+    with no_grad():
+        return recognizer.predict(np.where(mask, values, MISSING_FILL)[None])[0]
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +149,28 @@ def test_reconstructor_dataset_channels(norm_and_sets):
         assert np.array_equal(x[i], pair)
 
 
+@pytest.mark.parametrize("chunk", [5, 64])
+def test_label_windows_matches_per_window_reference(norm_and_sets, monkeypatch, chunk):
+    ts_norm, _, sets = norm_and_sets
+    gappy, _ = gen_mcar(ts_norm, 0.2, 2)
+    rec = RecognizerModel(2, 16, 2, seed=3)
+    starts, values, mask = split_nonoverlapping(gappy, 16)
+    n_gap = int((~mask.all(axis=(1, 2))).sum())
+    assert 64 < n_gap < starts.shape[0]
+    calls = []
+    predict = rec.predict
+    monkeypatch.setattr(rec, "predict", lambda x: calls.append(len(x)) or predict(x))
+    monkeypatch.setattr(models, "GAP_CHUNK", chunk)
+    labels = label_windows(starts, values, mask, sets, rec)
+    assert calls == [min(chunk, n_gap - lo) for lo in range(0, n_gap, chunk)]
+    expected = np.stack([window_labels(s, w, k, sets, rec)
+                         for s, w, k in zip(starts, values, mask)])
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
+    with pytest.raises(ValueError, match="no classifier"):
+        label_windows(starts, values, mask, sets)
+
+
 def test_train_recognizer_learns_separable_data(norm_and_sets):
     ts_norm, _, sets = norm_and_sets
     x, y = build_recognizer_dataset(ts_norm, sets, 16)
@@ -156,11 +194,11 @@ def test_early_stopping_restores_best(norm_and_sets):
     from saeti.autograd import cross_entropy
     from saeti.training import mask_random_points
     rng = np.random.default_rng(config.seed)
-    _, val_idx = split_train_val(x.shape[0], config.val_fraction, rng)
+    _, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
     val_x = x[val_idx].copy()
     for i in range(val_x.shape[0]):
         hide = mask_random_points(np.ones_like(val_x[i], dtype=bool),
-                                  config.mask_fraction, rng)
+                                  MASK_FRACTION, rng)
         val_x[i][hide] = MISSING_FILL
     probs = model.forward(val_x)
     val = cross_entropy(probs, y[val_idx]).item() / val_idx.shape[0]
