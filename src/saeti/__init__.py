@@ -34,7 +34,6 @@ from .snippets import (
     find_all_snippets,
     find_snippets,
     label_subsequence,
-    read_snippets_json,
     write_snippets_json,
 )
 from .training import (
@@ -76,7 +75,6 @@ __all__ = [
     "find_all_snippets",
     "find_snippets",
     "label_subsequence",
-    "read_snippets_json",
     "write_snippets_json",
     "ModelBundle",
     "TrainConfig",

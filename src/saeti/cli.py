@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .core_ts import minmax_normalize, read_csv, write_csv
+from .models import RecognizerModel, ReconstructorModel
 from .pipeline import impute_report
 from .scenarios import baseline_linear, baseline_mean, gen_blackout, gen_mcar, gen_ts_nbr, rmse
 from .snippets import find_all_snippets, write_snippets_json
@@ -93,6 +94,9 @@ def cmd_train(args: argparse.Namespace) -> None:
         seed=args.seed, lr=args.lr, batch_size=args.batch_size,
         max_epochs=args.max_epochs, patience=args.patience,
     )
+    # Impossible model sizes fail here, before discovery and training.
+    RecognizerModel.check_sizes(ts.d, config.m, config.k)
+    ReconstructorModel.latent_size(ts.d, config.m, config.latent)
     ts_norm, norm = minmax_normalize(ts)
     sets = find_all_snippets(ts_norm, config.m, config.k, ell=config.ell)
     bundle, recog_history, recon_history = train_bundle(ts_norm, norm, sets, config)

@@ -87,10 +87,7 @@ class RecognizerModel:
     """
 
     def __init__(self, d: int, m: int, k: int, seed: int = 0):
-        if m < 8:
-            raise ValueError(f"window too short for three pools: m={m} < 8")
-        if d < 1 or k < 1:
-            raise ValueError("d and k must be positive")
+        self.check_sizes(d, m, k)
         self.d = d
         self.m = m
         self.k = k
@@ -102,6 +99,14 @@ class RecognizerModel:
         self.conv3 = _Conv(f2, f3, rng)
         self.gru = GRUParams(f3, RECOGNIZER_HIDDEN, rng)
         self.head = _Dense(RECOGNIZER_HIDDEN, d * k, rng)
+
+    @staticmethod
+    def check_sizes(d: int, m: int, k: int) -> None:
+        """Raise ``ValueError`` unless a model of these sizes can be built."""
+        if m < 8:
+            raise ValueError(f"window too short for three pools: m={m} < 8")
+        if d < 1 or k < 1:
+            raise ValueError("d and k must be positive")
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
@@ -148,13 +153,7 @@ class ReconstructorModel:
     """
 
     def __init__(self, d: int, m: int, latent: int | None = None, seed: int = 0):
-        if d < 1 or m < 1:
-            raise ValueError("d and m must be positive")
-        z = default_latent(d, m) if latent is None else int(latent)
-        if z >= d * m:
-            raise ValueError(f"latent not compressive: z={z} >= d*m={d * m}")
-        if z < 1:
-            raise ValueError("latent size must be positive")
+        z = self.latent_size(d, m, latent)
         self.d = d
         self.m = m
         self.latent = z
@@ -174,6 +173,18 @@ class ReconstructorModel:
             (_Conv(e3, d1, rng), _Conv(d1, d2, rng), _Conv(d2, 1, rng))
             for _ in range(d)
         ]
+
+    @staticmethod
+    def latent_size(d: int, m: int, latent: int | None = None) -> int:
+        """The bottleneck size; ``ValueError`` unless the model can be built."""
+        if d < 1 or m < 1:
+            raise ValueError("d and m must be positive")
+        z = default_latent(d, m) if latent is None else int(latent)
+        if z >= d * m:
+            raise ValueError(f"latent not compressive: z={z} >= d*m={d * m}")
+        if z < 1:
+            raise ValueError("latent size must be positive")
+        return z
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []

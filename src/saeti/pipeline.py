@@ -3,15 +3,14 @@
 The series is brought into the bundle's normalized frame and cut into
 stride-m windows (the last window backs up over the tail when the
 length is not a multiple of m). The windows containing gaps are
-gathered into one array, labeled by the recognizer through
-``training.label_windows`` (the path training labels its gap windows
-with), paired with their matched snippets and predicted by the
-reconstructor; both models run through ``models.infer`` in fixed-size
-batches without a gradient graph. Model predictions land only
-in missing cells; observed cells of the output are the input values,
-bit for bit. Predictions are written in window order and overlapping
-tail coverage follows first-writer-wins, so each missing cell is
-predicted exactly once.
+gathered into one array of model inputs, labeled by the recognizer,
+paired with their matched snippets and predicted by the reconstructor;
+both models run through ``models.infer`` in fixed-size batches without
+a gradient graph. Model predictions land only in missing cells;
+observed cells of the output are the input values, bit for bit.
+Predictions are written in window order and overlapping tail coverage
+follows first-writer-wins, so each missing cell is predicted exactly
+once.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core_ts import TimeSeries, apply_normalization, denormalize, split_nonoverlapping
 from .models import infer, model_inputs
-from .training import ModelBundle, label_windows, snippet_pairs
+from .training import ModelBundle, snippet_pairs
 
 __all__ = ["impute", "impute_report"]
 
@@ -41,17 +40,17 @@ def impute_report(
     """
     if ts.d != bundle.d:
         raise ValueError(f"series has d={ts.d}, bundle expects d={bundle.d}")
-    m, sets = bundle.m, bundle.snippet_sets
+    m = bundle.m
     norm = apply_normalization(ts, bundle.norm)
     obs = ts.mask
     starts, windows, window_mask = split_nonoverlapping(norm, m)
     gap = ~window_mask.all(axis=(1, 2))
-    gap_starts, values, mask = starts[gap], windows[gap], window_mask[gap]
-    labels = label_windows(gap_starts, values, mask, sets, bundle.recognizer)
+    gap_starts = starts[gap]
     # Model inputs are clamped to the training range; output plumbing
     # keeps the unclamped normalized values.
-    pred = infer(bundle.reconstructor.forward,
-                 snippet_pairs(model_inputs(values, mask), labels, sets))
+    x = model_inputs(windows[gap], window_mask[gap])
+    labels = infer(bundle.recognizer.predict, x)
+    pred = infer(bundle.reconstructor.forward, snippet_pairs(x, labels, bundle.snippets))
     filled = norm.values.copy()
     open_ = ~obs
     for s0, window in zip(gap_starts, pred):

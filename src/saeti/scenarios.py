@@ -125,6 +125,9 @@ def rmse(imputed: TimeSeries, truth: TimeSeries, positions: np.ndarray) -> float
         raise ValueError("nothing to score: no positions flagged")
     if not truth.mask[positions].all():
         raise ValueError("truth is missing at some flagged positions")
+    gaps = int((~imputed.mask[positions]).sum())
+    if gaps:
+        raise ValueError(f"imputed series is still missing {gaps} flagged positions")
     diff = imputed.values[positions] - truth.values[positions]
     return float(np.sqrt(np.mean(diff * diff)))
 

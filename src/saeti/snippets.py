@@ -31,10 +31,9 @@ __all__ = [
     "find_snippets",
     "find_all_snippets",
     "label_subsequence",
+    "snippet_values",
     "snippet_sets_to_json",
-    "snippet_sets_from_json",
     "write_snippets_json",
-    "read_snippets_json",
 ]
 
 
@@ -58,10 +57,6 @@ class SnippetSet:
     k: int
     ell: int
     items: tuple[Snippet, ...]
-
-    def values_matrix(self) -> np.ndarray:
-        """(K, m) matrix of snippet values, rank order."""
-        return np.stack([s.values for s in self.items])
 
 
 def assign_neighbors(profile: ProfileMatrix) -> dict[int, int]:
@@ -181,6 +176,11 @@ def label_subsequence(values: np.ndarray, start: int, sset: SnippetSet) -> int:
     return int(np.argmin(dists)) + 1
 
 
+def snippet_values(sets: list[SnippetSet]) -> np.ndarray:
+    """(d, K, m) array of every coordinate's snippet values, rank order."""
+    return np.stack([[s.values for s in sset.items] for sset in sets])
+
+
 def snippet_sets_to_json(sets: list[SnippetSet]) -> str:
     payload = [
         {
@@ -203,31 +203,8 @@ def snippet_sets_to_json(sets: list[SnippetSet]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def snippet_sets_from_json(text: str) -> list[SnippetSet]:
-    payload = json.loads(text)
-    sets = []
-    for entry in payload:
-        items = tuple(
-            Snippet(
-                coord=entry["coord"],
-                index=item["index"],
-                values=np.array(item["values"], dtype=float),
-                neighbors=frozenset(item["neighbors"]),
-                frac=item["frac"],
-            )
-            for item in entry["items"]
-        )
-        sets.append(SnippetSet(coord=entry["coord"], m=entry["m"], k=entry["k"],
-                               ell=entry["ell"], items=items))
-    return sets
-
-
 def write_snippets_json(sets: list[SnippetSet], path) -> None:
     with open(path, "w") as fh:
         fh.write(snippet_sets_to_json(sets))
         fh.write("\n")
 
-
-def read_snippets_json(path) -> list[SnippetSet]:
-    with open(path) as fh:
-        return snippet_sets_from_json(fh.read())

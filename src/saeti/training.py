@@ -20,12 +20,8 @@ import numpy as np
 from .autograd import Adam, cross_entropy, masked_mse, no_grad, zero_grads
 from .core_ts import NormParams, TimeSeries, split_nonoverlapping
 from .models import MISSING_FILL, RecognizerModel, ReconstructorModel, infer, model_inputs
-from .snippets import (
-    SnippetSet,
-    label_subsequence,
-    snippet_sets_from_json,
-    snippet_sets_to_json,
-)
+from .mpdist import _inner_window
+from .snippets import SnippetSet, label_subsequence, snippet_values
 
 __all__ = [
     "TrainConfig",
@@ -46,7 +42,7 @@ __all__ = [
 ]
 
 BUNDLE_MAGIC = b"SAETIMB1"
-BUNDLE_FORMAT = 1
+BUNDLE_FORMAT = 2
 # Share of windows held out for validation, and of points occluded.
 VAL_FRACTION = 0.25
 MASK_FRACTION = 0.25
@@ -86,11 +82,16 @@ class EpochStats:
 
 @dataclass
 class ModelBundle:
-    """Everything imputation needs, in one serializable object."""
+    """Everything imputation needs, in one serializable object.
+
+    ``snippets`` holds each coordinate's snippet values in rank order,
+    shape (d, k, m); ``ell`` is the inner window discovery used.
+    """
 
     names: tuple[str, ...]
     norm: NormParams
-    snippet_sets: list[SnippetSet]
+    snippets: np.ndarray
+    ell: int
     recognizer: RecognizerModel
     reconstructor: ReconstructorModel
     seed: int = 42
@@ -106,10 +107,6 @@ class ModelBundle:
     @property
     def k(self) -> int:
         return self.recognizer.k
-
-    @property
-    def ell(self) -> int:
-        return self.snippet_sets[0].ell
 
 
 def label_windows(starts: np.ndarray, values: np.ndarray, mask: np.ndarray,
@@ -169,23 +166,21 @@ def build_reconstructor_dataset(
     starts, values, mask = starts[keep], values[keep], mask[keep]
     labels = label_windows(starts, values, mask, sets, recognizer)
     targets = np.where(mask, values, 0.0)
-    return snippet_pairs(model_inputs(values, mask), labels, sets), targets, mask.astype(float)
+    pairs = snippet_pairs(model_inputs(values, mask), labels, snippet_values(sets))
+    return pairs, targets, mask.astype(float)
 
 
 def snippet_pairs(inputs: np.ndarray, labels: np.ndarray,
-                  sets: list[SnippetSet]) -> np.ndarray:
+                  snippets: np.ndarray) -> np.ndarray:
     """Pair each filled window with its matched snippets.
 
     ``inputs`` is (N, d, m) with gaps already filled, ``labels`` (N, d)
-    holds 0-based snippet ranks. Returns (N, d, 2, m): the window in
-    channel 0 and snippet ``labels[i, j]`` of coordinate ``j`` in
-    channel 1, the reconstructor's input layout.
+    holds 0-based snippet ranks and ``snippets`` is (d, k, m). Returns
+    (N, d, 2, m): the window in channel 0 and snippet ``labels[i, j]`` of
+    coordinate ``j`` in channel 1, the reconstructor's input layout.
     """
-    pairs = np.empty(inputs.shape[:2] + (2,) + inputs.shape[2:])
-    pairs[:, :, 0, :] = inputs
-    for j, sset in enumerate(sets):
-        pairs[:, j, 1, :] = sset.values_matrix()[labels[:, j]]
-    return pairs
+    matched = snippets[np.arange(snippets.shape[0]), labels]
+    return np.stack((inputs, matched), axis=2)
 
 
 def mask_random_points(observed: np.ndarray, fraction: float,
@@ -369,26 +364,32 @@ def train_bundle(
     ax, at, aw = build_reconstructor_dataset(ts_norm, sets, config.m, recognizer)
     recon_history = train_reconstructor(reconstructor, ax, at, aw, config)
 
-    bundle = ModelBundle(names=ts_norm.names, norm=norm, snippet_sets=sets,
-                         recognizer=recognizer, reconstructor=reconstructor,
-                         seed=config.seed)
+    bundle = ModelBundle(names=ts_norm.names, norm=norm, snippets=snippet_values(sets),
+                         ell=sets[0].ell, recognizer=recognizer,
+                         reconstructor=reconstructor, seed=config.seed)
     return bundle, recog_history, recon_history
 
 
 # -- persistence -------------------------------------------------------------
 
 
-def _param_manifest(model) -> list[list]:
-    return [[name, list(p.data.shape)] for name, p in model.parameters()]
+def _arrays(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
+    """Every stored array, named, in file order."""
+    return ([("norm.mins", bundle.norm.mins), ("norm.maxs", bundle.norm.maxs),
+             ("snippets", bundle.snippets)]
+            + [(f"recognizer.{n}", p.data) for n, p in bundle.recognizer.parameters()]
+            + [(f"reconstructor.{n}", p.data) for n, p in bundle.reconstructor.parameters()])
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write a bundle: magic, header length, JSON header, raw float64.
+    """Write a bundle: magic, header length, JSON header, raw float64 blocks.
 
-    Weights are stored as little-endian float64 in the exact parameter
-    order the models report, classifier first, so a load followed by a
-    save reproduces the file byte for byte.
+    The header holds the config and the ``[name, shape]`` of every array;
+    the arrays follow as little-endian float64 in that order (norm,
+    snippets, classifier, then autoencoder parameters), so a load followed
+    by a save reproduces the file byte for byte.
     """
+    arrays = _arrays(bundle)
     header = {
         "format": BUNDLE_FORMAT,
         "config": {
@@ -400,28 +401,23 @@ def save_bundle(bundle: ModelBundle, path) -> None:
             "seed": bundle.seed,
             "names": list(bundle.names),
         },
-        "norm": {
-            "mins": [float(v) for v in bundle.norm.mins],
-            "maxs": [float(v) for v in bundle.norm.maxs],
-        },
-        "snippets": json.loads(snippet_sets_to_json(bundle.snippet_sets)),
-        "params": {
-            "recognizer": _param_manifest(bundle.recognizer),
-            "reconstructor": _param_manifest(bundle.reconstructor),
-        },
+        "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(BUNDLE_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for model in (bundle.recognizer, bundle.reconstructor):
-            for _, p in model.parameters():
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        for _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_bundle(path) -> ModelBundle:
-    """Read a bundle back; any size or name mismatch is an error."""
+    """Read a bundle back; anything malformed raises ``ValueError``.
+
+    The arrays the header lists must be exactly those its config implies,
+    every value must be finite, and the file must end with the last block.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:8] != BUNDLE_MAGIC:
@@ -446,31 +442,33 @@ def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
             f"unsupported bundle format {header['format']!r}; "
             f"this version reads format {BUNDLE_FORMAT}")
     cfg = header["config"]
+    for key in ("d", "m", "k", "ell", "latent", "seed"):
+        if type(cfg[key]) is not int:
+            raise TypeError(f"config {key} must be an integer, got {cfg[key]!r}")
+    d, m, k, seed = cfg["d"], cfg["m"], cfg["k"], cfg["seed"]
     names = tuple(cfg["names"])
-    if len(names) != cfg["d"]:
-        raise ValueError(
-            f"bundle lists {len(names)} names but its config has d={cfg['d']}")
-    norm = NormParams(mins=np.array(header["norm"]["mins"], dtype=float),
-                      maxs=np.array(header["norm"]["maxs"], dtype=float))
-    sets = snippet_sets_from_json(json.dumps(header["snippets"]))
-    recognizer = RecognizerModel(cfg["d"], cfg["m"], cfg["k"], seed=cfg["seed"])
-    reconstructor = ReconstructorModel(cfg["d"], cfg["m"], latent=cfg["latent"],
-                                       seed=cfg["seed"])
-    for model, key in ((recognizer, "recognizer"), (reconstructor, "reconstructor")):
-        manifest = header["params"][key]
-        named = model.parameters()
-        if [[n, list(p.data.shape)] for n, p in named] != manifest:
-            raise ValueError(f"bundle parameter mismatch in {key}")
-        for _, p in named:
-            nbytes = p.data.size * 8
-            if offset + nbytes > len(blob):
-                raise ValueError("truncated bundle: weight block cut short")
-            flat = np.frombuffer(blob, dtype="<f8", count=p.data.size,
-                                 offset=offset)
-            p.data = flat.reshape(p.data.shape).astype(float)
-            offset += nbytes
+    if len(names) != d:
+        raise ValueError(f"bundle lists {len(names)} names but its config has d={d}")
+    # The blocks are read into the arrays of a bundle built from the config.
+    bundle = ModelBundle(
+        names=names, norm=NormParams(mins=np.zeros(d), maxs=np.zeros(d)),
+        snippets=np.zeros((d, k, m)), ell=_inner_window(cfg["ell"], m),
+        recognizer=RecognizerModel(d, m, k, seed=seed),
+        reconstructor=ReconstructorModel(d, m, latent=cfg["latent"], seed=seed),
+        seed=seed)
+    arrays = _arrays(bundle)
+    if header["arrays"] != [[name, list(a.shape)] for name, a in arrays]:
+        raise ValueError("bundle arrays do not match its config")
+    for name, a in arrays:
+        if offset + 8 * a.size > len(blob):
+            raise ValueError(f"truncated bundle: block {name} cut short")
+        block = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset)
+        if not np.isfinite(block).all():
+            raise ValueError(f"bundle block {name} holds non-finite values")
+        a[...] = block.reshape(a.shape)
+        offset += 8 * a.size
     if offset != len(blob):
         raise ValueError("bundle has trailing bytes")
-    return ModelBundle(names=names, norm=norm, snippet_sets=sets,
-                       recognizer=recognizer, reconstructor=reconstructor,
-                       seed=cfg["seed"])
+    # Rebuilt so NormParams checks the loaded values (min <= max).
+    bundle.norm = NormParams(mins=bundle.norm.mins, maxs=bundle.norm.maxs)
+    return bundle

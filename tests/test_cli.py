@@ -98,16 +98,29 @@ def test_non_numeric_cell_exits_2(workdir, tmp_path, capsys):
     assert f"{bad}:6: column 2 (s2): not a number: 'abc'" in capsys.readouterr().err
 
 
-def _impute_with_header(workdir, tmp_path, edit):
-    """Run ``saeti impute`` with the workdir bundle's header replaced."""
+def _split_bundle(workdir):
+    """The workdir bundle as (header dict, header end offset, whole file)."""
     blob = (workdir / "model.bundle").read_bytes()
     (n,) = struct.unpack("<Q", blob[8:16])
-    raw = json.dumps(edit(json.loads(blob[16:16 + n]))).encode("utf-8")
+    return json.loads(blob[16:16 + n]), 16 + n, blob
+
+
+def _impute_with_bundle(workdir, tmp_path, blob):
+    """Run ``saeti impute`` with ``blob`` as the bundle; no output may appear."""
     bundle = tmp_path / "edited.bundle"
-    bundle.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:])
+    bundle.write_bytes(blob)
     rc = main(["impute", "--input", str(workdir / "gapped.csv"), "--bundle", str(bundle),
                "--output", str(tmp_path / "out.csv")])
+    assert (tmp_path / "out.csv").exists() == (rc == 0)
     return rc, bundle
+
+
+def _impute_with_header(workdir, tmp_path, edit):
+    """Run ``saeti impute`` with the workdir bundle's header replaced."""
+    header, end, blob = _split_bundle(workdir)
+    raw = json.dumps(edit(header)).encode("utf-8")
+    return _impute_with_bundle(workdir, tmp_path,
+                               blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[end:])
 
 
 def test_bundle_header_not_an_object_exits_2(workdir, tmp_path, capsys):
@@ -118,11 +131,51 @@ def test_bundle_header_not_an_object_exits_2(workdir, tmp_path, capsys):
 
 def test_bundle_header_field_of_wrong_type_exits_2(workdir, tmp_path, capsys):
     def edit(header):
-        header["norm"] = [0.0, 1.0]
+        header["config"]["m"] = "16"
         return header
     rc, bundle = _impute_with_header(workdir, tmp_path, edit)
     assert rc == 2
     assert f"{bundle}: bundle header has a field of the wrong type" in capsys.readouterr().err
+
+
+def _set_snippets_shape(shape):
+    def edit(header):
+        entry = next(e for e in header["arrays"] if e[0] == "snippets")
+        entry[1] = shape
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {**h, "format": 1}, "unsupported bundle format 1"),
+    (_set_snippets_shape([1, 2, 16]), "bundle arrays do not match its config"),
+    (_set_snippets_shape([2, 2, 17]), "bundle arrays do not match its config"),
+], ids=["format-1", "snippets-d-1", "snippets-m+1"])
+def test_malformed_bundle_exits_2_without_output(workdir, tmp_path, capsys, edit, message):
+    rc, _ = _impute_with_header(workdir, tmp_path, edit)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, where, value", [
+    ("norm.mins", 0, np.nan),
+    ("norm.maxs", -1, np.inf),
+    ("snippets", 0, np.nan),
+    ("snippets", -1, -np.inf),
+])
+def test_non_finite_bundle_value_exits_2_without_output(workdir, tmp_path, capsys,
+                                                        name, where, value):
+    header, offset, blob = _split_bundle(workdir)
+    for entry_name, shape in header["arrays"]:
+        size = int(np.prod(shape))
+        if entry_name == name:
+            break
+        offset += 8 * size
+    offset += 8 * (where % size)
+    bad = blob[:offset] + np.array([value], dtype="<f8").tobytes() + blob[offset + 8:]
+    rc, _ = _impute_with_bundle(workdir, tmp_path, bad)
+    assert rc == 2
+    assert f"bundle block {name} holds non-finite values" in capsys.readouterr().err
 
 
 def test_generate_gaps_artifacts(workdir):
@@ -155,6 +208,20 @@ def test_evaluate_with_baselines(workdir, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["positions"] == 20
     assert set(result["rmse"]) == {"imputed", "baseline_mean", "baseline_linear"}
+
+
+def test_evaluate_with_gap_at_scored_position_exits_2(tmp_path, capsys):
+    truth = TimeSeries.from_values(np.array([[1.0], [2.0], [3.0]]))
+    imputed = TimeSeries.from_values(np.array([[1.0], [np.nan], [3.0]]))
+    write_csv(truth, tmp_path / "truth.csv")
+    write_csv(imputed, tmp_path / "imputed.csv")
+    (tmp_path / "mask.csv").write_text("row,col\n2,1\n3,1\n")
+    rc = main(["evaluate", "--imputed", str(tmp_path / "imputed.csv"),
+               "--truth", str(tmp_path / "truth.csv"), "--mask", str(tmp_path / "mask.csv"),
+               "--output", str(tmp_path / "scores.json")])
+    assert rc == 2
+    assert "imputed series is still missing 1 flagged positions" in capsys.readouterr().err
+    assert not (tmp_path / "scores.json").exists()
 
 
 def test_rerun_is_byte_identical(workdir):
@@ -204,6 +271,9 @@ def test_zero_blackout_length_exits_2(tmp_path, capsys):
     ("--lr", "inf", "lr must be positive and finite, got inf"),
     ("--lr", "0", "lr must be positive and finite, got 0.0"),
     ("--lr", "-0.001", "lr must be positive and finite, got -0.001"),
+    ("--latent", "1000", "latent not compressive: z=1000 >= d*m=32"),
+    ("--latent", "0", "latent size must be positive"),
+    ("--m", "4", "window too short for three pools: m=4 < 8"),
 ])
 def test_bad_training_flags_exit_2_before_discovery(tmp_path, capsys, monkeypatch,
                                                     flag, value, message):

@@ -27,7 +27,7 @@ def reference_window_predictions(ts, bundle):
         pair = np.empty((1, bundle.d, 2, bundle.m))
         pair[0, :, 0, :] = inp
         for j in range(bundle.d):
-            pair[0, j, 1, :] = bundle.snippet_sets[j].items[labels[j]].values
+            pair[0, j, 1, :] = bundle.snippets[j, labels[j]]
             usage[j, labels[j]] += 1
         pred = bundle.reconstructor.forward(pair).data[0].T
         preds[s0] = pred * span + bundle.norm.mins

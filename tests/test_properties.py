@@ -4,22 +4,43 @@ Bundles here hold untrained models with a fixed seed and snippet sets
 found on a random series: the guarantees under test are about the
 windowing and write-back plumbing, which must hold whatever the models
 predict. The MPdist properties run on random walks with bit-identical
-repeated blocks, constant stretches and gaps.
+repeated blocks, constant stretches and gaps. Saved bundles are mutated
+at random: the loader must reject them with ``ValueError`` or load a
+bundle that imputes deterministically.
 """
 
 import functools
+import json
+import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from saeti.core_ts import NormParams, TimeSeries, split_nonoverlapping, window_starts
+from conftest import two_regime_series
+from saeti.core_ts import (
+    NormParams,
+    TimeSeries,
+    minmax_normalize,
+    split_nonoverlapping,
+    window_starts,
+)
 from saeti.models import RecognizerModel, ReconstructorModel
 from saeti.mpdist import default_inner_window, mpdist, mpdist_profile_matrix
 from saeti.pipeline import impute
-from saeti.snippets import find_all_snippets, find_snippets
-from saeti.training import ModelBundle
+from saeti.scenarios import gen_mcar
+from saeti.snippets import find_all_snippets, find_snippets, snippet_values
+from saeti.training import (
+    BUNDLE_MAGIC,
+    ModelBundle,
+    TrainConfig,
+    load_bundle,
+    save_bundle,
+    train_bundle,
+)
 
 K = 2
 
@@ -28,10 +49,12 @@ K = 2
 def untrained_bundle(d: int, m: int) -> ModelBundle:
     rng = np.random.default_rng(100 * d + m)
     history = TimeSeries.from_values(rng.normal(size=(8 * m, d)))
+    sets = find_all_snippets(history, m, K)
     return ModelBundle(
         names=history.names,
         norm=NormParams(mins=np.full(d, -2.0), maxs=np.full(d, 2.0)),
-        snippet_sets=find_all_snippets(history, m, K),
+        snippets=snippet_values(sets),
+        ell=sets[0].ell,
         recognizer=RecognizerModel(d, m, K, seed=3),
         reconstructor=ReconstructorModel(d, m, seed=3),
     )
@@ -170,3 +193,93 @@ def test_snippet_fracs_partition_retained_subsequences(case, k):
     for item in sset.items:
         assert item.frac == len(item.neighbors) / pm.subseq_starts.shape[0]
     assert abs(sum(item.frac for item in sset.items) - 1.0) <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def saved_bundle() -> tuple[bytes, TimeSeries]:
+    """A 1-epoch m=16 bundle's file bytes and a gapped series it can fill."""
+    ts = two_regime_series(n=1600, block=400)
+    ts_norm, norm = minmax_normalize(ts)
+    config = TrainConfig(m=16, k=2, seed=0, max_epochs=1)
+    bundle, _, _ = train_bundle(ts_norm, norm, find_all_snippets(ts_norm, 16, 2), config)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bundle(bundle, Path(tmp) / "model.bundle")
+        blob = (Path(tmp) / "model.bundle").read_bytes()
+    return blob, gen_mcar(ts, 0.1, 3)[0]
+
+
+ODD_VALUES = st.sampled_from([None, True, 2.0, "2", [2], {}, -1])
+
+
+@st.composite
+def mutated_bundle(draw):
+    """The saved bundle's bytes under one random mutation.
+
+    Header keys are dropped or given values of other types; format,
+    names, d, k and ell change (m and latent only shrink, so no mutation
+    asks for a model larger than the trained one); ``arrays`` entries are
+    swapped or reshaped; a non-finite value lands in a data block; or the
+    file is cut short.
+    """
+    blob, _ = saved_bundle()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    header, body = json.loads(blob[16:16 + n]), blob[16 + n:]
+    cfg = header["config"]
+    kind = draw(st.sampled_from(["drop", "retype", "config", "arrays", "non_finite",
+                                 "truncate"]))
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind in ("drop", "retype"):
+        owner = draw(st.sampled_from([header, cfg]))
+        key = draw(st.sampled_from(sorted(owner)))
+        if kind == "drop":
+            del owner[key]
+        else:
+            owner[key] = draw(ODD_VALUES)
+    elif kind == "config":
+        key = draw(st.sampled_from(["format", "names", "d", "k", "ell", "m", "latent"]))
+        if key == "names":
+            cfg["names"] = cfg["names"][:draw(st.integers(0, 3))] * draw(st.integers(1, 2))
+        elif key == "format":
+            header["format"] = draw(st.integers(-1, 4))
+        elif key in ("m", "latent"):
+            cfg[key] = draw(st.integers(-1, cfg[key]))
+        else:
+            cfg[key] = cfg[key] + draw(st.integers(-3, 3))
+    elif kind == "arrays":
+        arrays = header["arrays"]
+        i = draw(st.integers(0, len(arrays) - 1))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(arrays) - 1))
+            arrays[i], arrays[j] = arrays[j], arrays[i]
+        else:
+            shape = arrays[i][1]
+            axis = draw(st.integers(0, len(shape)))
+            if axis == len(shape):
+                shape.append(1)
+            else:
+                shape[axis] += draw(st.sampled_from([-1, 1]))
+    else:
+        i = draw(st.integers(0, len(header["arrays"]) - 1))
+        offset = 8 * sum(int(np.prod(shape)) for _, shape in header["arrays"][:i])
+        offset += 8 * draw(st.integers(0, int(np.prod(header["arrays"][i][1])) - 1))
+        value = np.array([draw(st.sampled_from([np.nan, np.inf, -np.inf]))], dtype="<f8")
+        body = body[:offset] + value.tobytes() + body[offset + 8:]
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return BUNDLE_MAGIC + struct.pack("<Q", len(raw)) + raw + body
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_bundle())
+def test_bundle_mutations_are_rejected_or_impute_deterministically(blob):
+    _, gapped = saved_bundle()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.bundle"
+        path.write_bytes(blob)
+        try:
+            bundle = load_bundle(path)
+        except ValueError:
+            return
+    first = impute(gapped, bundle)
+    assert first.mask.all() and np.isfinite(first.values).all()
+    assert impute(gapped, bundle).values.tobytes() == first.values.tobytes()

@@ -150,6 +150,20 @@ def test_rmse_requires_observed_truth():
         rmse(imputed, truth, pos)
 
 
+def test_rmse_rejects_gaps_left_in_the_imputed_series():
+    truth = TimeSeries.from_values(np.ones((4, 2)))
+    imputed = TimeSeries.from_values(np.array([[1.0, np.nan], [np.nan, 1.0],
+                                               [np.nan, 1.0], [1.0, 1.0]]))
+    pos = np.ones((4, 2), dtype=bool)
+    with pytest.raises(ValueError, match="still missing 3 flagged positions"):
+        rmse(imputed, truth, pos)
+    pos[1:3, 0] = False
+    with pytest.raises(ValueError, match="still missing 1 flagged positions"):
+        rmse(imputed, truth, pos)
+    pos[0, 1] = False
+    assert rmse(imputed, truth, pos) == 0.0
+
+
 def test_baseline_mean_oracle():
     vals = np.array([[1.0, 10.0], [np.nan, 20.0], [3.0, np.nan]])
     ts = TimeSeries.from_values(vals)

@@ -11,8 +11,6 @@ from saeti.snippets import (
     find_all_snippets,
     find_snippets,
     label_subsequence,
-    read_snippets_json,
-    snippet_sets_from_json,
     snippet_sets_to_json,
     write_snippets_json,
 )
@@ -127,16 +125,14 @@ def test_json_roundtrip_is_exact(tmp_path):
     ts = two_regime_series(n=800, block=200)
     norm, _ = minmax_normalize(ts)
     sets = find_all_snippets(norm, 16, 2)
-    text = snippet_sets_to_json(sets)
-    back = snippet_sets_from_json(text)
-    for a, b in zip(sets, back):
-        assert (a.coord, a.m, a.k, a.ell) == (b.coord, b.m, b.k, b.ell)
-        for sa, sb in zip(a.items, b.items):
-            assert sa.index == sb.index
-            assert sa.frac == sb.frac
-            assert sa.neighbors == sb.neighbors
-            assert np.array_equal(sa.values, sb.values)
     path = tmp_path / "snips.json"
     write_snippets_json(sets, path)
-    assert read_snippets_json(path)[0].items[0].frac == sets[0].items[0].frac
-    json.loads(path.read_text())  # valid JSON on disk
+    assert path.read_text() == snippet_sets_to_json(sets) + "\n"
+    back = json.loads(path.read_text())
+    for a, b in zip(sets, back, strict=True):
+        assert (a.coord, a.m, a.k, a.ell) == (b["coord"], b["m"], b["k"], b["ell"])
+        for sa, sb in zip(a.items, b["items"], strict=True):
+            assert sa.index == sb["index"]
+            assert sa.frac == sb["frac"]
+            assert sa.neighbors == frozenset(sb["neighbors"])
+            assert np.array_equal(sa.values, sb["values"])

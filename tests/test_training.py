@@ -10,7 +10,7 @@ from saeti.autograd import no_grad
 from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
 from saeti.scenarios import gen_mcar
-from saeti.snippets import find_all_snippets, label_subsequence
+from saeti.snippets import find_all_snippets, label_subsequence, snippet_values
 from saeti.training import (
     BUNDLE_MAGIC,
     MASK_FRACTION,
@@ -216,6 +216,8 @@ def test_train_bundle_and_roundtrip(tmp_path, norm_and_sets):
     back = load_bundle(path)
     assert back.names == bundle.names
     assert np.array_equal(back.norm.mins, bundle.norm.mins)
+    assert back.snippets.tobytes() == snippet_values(sets).tobytes()
+    assert back.snippets.shape == (2, 2, 16) and back.ell == sets[0].ell == 8
     for (na, pa), (nb, pb) in zip(bundle.recognizer.parameters(),
                                   back.recognizer.parameters()):
         assert na == nb
@@ -273,16 +275,16 @@ def _edit_header(path, edit):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: h.update(format=2), "unsupported bundle format 2"),
+    (lambda h: h.update(format=1), "unsupported bundle format 1"),
     (lambda h: h["config"].pop("latent"), "missing key 'latent'"),
-    (lambda h: h.pop("norm"), "missing key 'norm'"),
+    (lambda h: h.pop("arrays"), "missing key 'arrays'"),
     (lambda h: h["config"].update(names=["s1"]), "1 names but its config has d=2"),
 ])
 def test_bundle_rejects_bad_headers(tmp_path, norm_and_sets, edit, message):
     _, norm, sets = norm_and_sets
     path = tmp_path / "model.bundle"
-    save_bundle(ModelBundle(names=("s1", "s2"), norm=norm, snippet_sets=sets,
-                            recognizer=RecognizerModel(2, 16, 2, seed=0),
+    save_bundle(ModelBundle(names=("s1", "s2"), norm=norm, snippets=snippet_values(sets),
+                            ell=8, recognizer=RecognizerModel(2, 16, 2, seed=0),
                             reconstructor=ReconstructorModel(2, 16, seed=0)), path)
     assert load_bundle(path).names == ("s1", "s2")
     _edit_header(path, edit)
