@@ -3,8 +3,13 @@
 A :class:`Tensor` wraps a numpy array and, when gradients are required,
 records a backward closure plus its parents so that ``backward()`` on a
 scalar loss can replay the chain rule over a topological ordering. Ops
-are deliberately coarse (a whole convolution is one node) so graphs stay
-small and the heavy lifting runs inside BLAS.
+are deliberately coarse so graphs stay small and the heavy lifting runs
+inside BLAS. A convolution is one node that works time-major: one GEMM
+over the ``(B·L, kw·C_in)`` columns of a ``(B, L, C_in)`` view of its
+input; its input gradient is the same routine run on the output gradient
+with the flipped, transposed kernel. A GRU over a whole sequence is one
+node: one GEMM projects every step, z and r share one recurrent product,
+and a hand-written backward through time fills the nine gate gradients.
 
 Conventions baked in here:
 
@@ -28,7 +33,6 @@ import math
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 __all__ = [
@@ -107,13 +111,23 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
+    def __len__(self) -> int:
+        # The first axis, as for arrays: a time-major (T, B, F) tensor is a
+        # sequence of T steps.
+        return len(self.data)
+
     def item(self) -> float:
         return float(self.data)
 
     def _accumulate(self, grad: np.ndarray):
+        # The first write stores a copy: the same array may be handed to
+        # two parents, or still be read by the closure that made it. The
+        # copy takes the layout of ``data``, which Adam reads alongside it.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
+        else:
+            self.grad += grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -248,7 +262,7 @@ class Tensor:
             def _bwd(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, src_shape).copy())
+                self._accumulate(np.broadcast_to(g, src_shape))
             out._backward = _bwd
         return out
 
@@ -339,12 +353,31 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def _conv_time_major(xt: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded convolution of ``(B, L, C_in)`` ``xt`` with a ``(C_out, C_in, kw)`` kernel.
+
+    Returns the ``(B·L, C_out)`` product and the ``(B·L, kw·C_in)``
+    columns it came from: kw slab copies out of a zero-padded buffer and
+    one GEMM.
+    """
+    b, length, c_in = xt.shape
+    c_out, _, kw = weight.shape
+    pad = kw // 2
+    xp = np.zeros((b, length + 2 * pad, c_in))
+    xp[:, pad:pad + length] = xt
+    cols = np.empty((b, length, kw, c_in))
+    for t in range(kw):
+        cols[:, :, t] = xp[:, t:t + length]
+    cols = cols.reshape(b * length, kw * c_in)
+    return cols @ weight.transpose(2, 1, 0).reshape(kw * c_in, c_out), cols
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-padded 1-D convolution.
 
     ``x`` is ``(C_in, L)`` or batched ``(B, C_in, L)``; ``weight`` is
     ``(C_out, C_in, kw)`` with odd ``kw``; output length equals input
-    length. Implemented as one im2col matmul node.
+    length. One node; the output is a view of a ``(B, L, C_out)`` array.
     """
     squeeze = x.data.ndim == 2
     xd = x.data[None] if squeeze else x.data
@@ -356,28 +389,24 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if xd.shape[1] != c_in:
         raise ValueError(f"channel mismatch: input has {xd.shape[1]}, kernel expects {c_in}")
     b, _, length = xd.shape
-    pad = kw // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
-    patches = sliding_window_view(xp, kw, axis=2)          # (B, C_in, L, kw)
-    cols = patches.transpose(0, 2, 1, 3).reshape(b * length, c_in * kw)
-    w2 = weight.data.reshape(c_out, c_in * kw)
-    y = (cols @ w2.T).reshape(b, length, c_out).transpose(0, 2, 1)
-    y = y + bias.data[None, :, None]
+    y, cols = _conv_time_major(xd.transpose(0, 2, 1), weight.data)
+    y += bias.data
+    y = y.reshape(b, length, c_out).transpose(0, 2, 1)
     out = _node(y[0] if squeeze else y, (x, weight, bias))
     if out.requires_grad:
         def _bwd(g):
-            gb3 = g[None] if squeeze else g
-            g2 = gb3.transpose(0, 2, 1).reshape(b * length, c_out)
+            gt = (g[None] if squeeze else g).transpose(0, 2, 1)    # (B, L, C_out)
             if weight.requires_grad:
-                weight._accumulate((g2.T @ cols).reshape(c_out, c_in, kw))
+                gw = cols.T @ gt.reshape(b * length, c_out)
+                weight._accumulate(gw.reshape(kw, c_in, c_out).transpose(2, 1, 0))
             if bias.requires_grad:
-                bias._accumulate(gb3.sum(axis=(0, 2)))
+                bias._accumulate(gt.sum(axis=(0, 1)))
             if x.requires_grad:
-                gcols = (g2 @ w2).reshape(b, length, c_in, kw)
-                gxp = np.zeros_like(xp)
-                for t in range(kw):
-                    gxp[:, :, t:t + length] += gcols[:, :, :, t].transpose(0, 2, 1)
-                gx = gxp[:, :, pad:pad + length]
+                # Transposed convolution: the input gradient is the same-padded
+                # convolution of g with the flipped kernel, C_in and C_out swapped.
+                flipped = weight.data.transpose(1, 0, 2)[:, :, ::-1]
+                gx, _ = _conv_time_major(gt, flipped)
+                gx = gx.reshape(b, length, c_in).transpose(0, 2, 1)
                 x._accumulate(gx[0] if squeeze else gx)
         out._backward = _bwd
     return out
@@ -513,26 +542,78 @@ class GRUParams:
         ]
 
 
-def gru_forward(xs: list[Tensor], params: GRUParams) -> tuple[list[Tensor], Tensor]:
-    """Run a GRU over a sequence of (B, input_size) tensors.
+def gru_forward(xs, params: GRUParams) -> tuple[Tensor, Tensor]:
+    """Run a GRU over a sequence of (B, input_size) steps from a zero state.
 
-    Starts from a zero hidden state and returns (all hidden states, final
-    state). Recurrence: ``z = sigm(x W_z + h U_z + b_z)``, ``r = sigm(x W_r
-    + h U_r + b_r)``, ``cand = tanh(x W_h + (r*h) U_h + b_h)``,
-    ``h' = (1 - z) * h + z * cand``.
+    ``xs`` is a list of (B, input_size) tensors or one time-major
+    (T, B, input_size) tensor. Returns (states, final state): every hidden
+    state as one (T, B, hidden) tensor, and its last step. Recurrence:
+    ``z = sigm(x W_z + h U_z + b_z)``, ``r = sigm(x W_r + h U_r + b_r)``,
+    ``cand = tanh(x W_h + (r*h) U_h + b_h)``, ``h' = (1 - z) * h + z * cand``.
+
+    The sequence is one node: one GEMM projects every step, z and r share
+    one ``(H, 2H)`` recurrent product per step, and the backward runs
+    through time by hand.
     """
-    if not xs:
+    if len(xs) == 0:
         raise ValueError("empty sequence")
-    batch = xs[0].data.shape[0]
-    h = Tensor(np.zeros((batch, params.hidden_size)))
-    states: list[Tensor] = []
-    for x in xs:
-        z = sigmoid(x @ params.w_z + h @ params.u_z + params.b_z)
-        r = sigmoid(x @ params.w_r + h @ params.u_r + params.b_r)
-        cand = tanh(x @ params.w_h + (r * h) @ params.u_h + params.b_h)
-        h = (1.0 - z) * h + z * cand
-        states.append(h)
-    return states, h
+    if isinstance(xs, Tensor):
+        x, inputs = xs.data, (xs,)
+    else:
+        x, inputs = np.stack([s.data for s in xs]), tuple(xs)
+    steps, batch, n_in = x.shape
+    hid = params.hidden_size
+    w = np.concatenate([params.w_z.data, params.w_r.data, params.w_h.data], axis=1)
+    u_zr = np.concatenate([params.u_z.data, params.u_r.data], axis=1)
+    u_h = params.u_h.data
+    x2 = x.reshape(steps * batch, n_in)
+    proj = x2 @ w
+    proj += np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
+    proj = proj.reshape(steps, batch, 3 * hid)
+    hs = np.zeros((steps + 1, batch, hid))     # hs[t] is the state before step t
+    zr = np.empty((steps, batch, 2 * hid))
+    rh = np.empty((steps, batch, hid))
+    cand = np.empty((steps, batch, hid))
+    for t in range(steps):
+        h = hs[t]
+        expit(proj[t, :, :2 * hid] + h @ u_zr, out=zr[t])
+        z, r = zr[t, :, :hid], zr[t, :, hid:]
+        np.multiply(r, h, out=rh[t])
+        np.tanh(proj[t, :, 2 * hid:] + rh[t] @ u_h, out=cand[t])
+        hs[t + 1] = (1.0 - z) * h + z * cand[t]
+    gate_tensors = [t for _, t in params.tensors()]
+    out = _node(hs[1:], inputs + tuple(gate_tensors))
+    if out.requires_grad:
+        def _bwd(g):
+            dproj = np.empty((steps, batch, 3 * hid))
+            dh = np.zeros((batch, hid))
+            for t in reversed(range(steps)):
+                dh += g[t]
+                h, c = hs[t], cand[t]
+                z, r = zr[t, :, :hid], zr[t, :, hid:]
+                da_zr, da_h = dproj[t, :, :2 * hid], dproj[t, :, 2 * hid:]
+                np.multiply(dh * z, 1.0 - c * c, out=da_h)
+                drh = da_h @ u_h.T
+                np.multiply(dh * (c - h), z * (1.0 - z), out=da_zr[:, :hid])
+                np.multiply(drh * h, r * (1.0 - r), out=da_zr[:, hid:])
+                dh = dh * (1.0 - z) + drh * r + da_zr @ u_zr.T
+            flat = dproj.reshape(steps * batch, 3 * hid)
+            gw = np.split(x2.T @ flat, 3, axis=1)
+            gu = np.split(hs[:-1].reshape(steps * batch, hid).T @ flat[:, :2 * hid], 2, axis=1)
+            gu.append(rh.reshape(steps * batch, hid).T @ flat[:, 2 * hid:])
+            gb = np.split(flat.sum(axis=0), 3)
+            # params.tensors() lists w, u, b per gate.
+            grads = [grad for trio in zip(gw, gu, gb) for grad in trio]
+            for tensor, grad in zip(gate_tensors, grads):
+                if tensor.requires_grad:
+                    tensor._accumulate(grad)
+            if any(s.requires_grad for s in inputs):
+                dx = (flat @ w.T).reshape(steps, batch, n_in)
+                for s, ds in zip(inputs, [dx] if isinstance(xs, Tensor) else dx):
+                    if s.requires_grad:
+                        s._accumulate(ds)
+        out._backward = _bwd
+    return out, out[-1]
 
 
 def zero_grads(params: list[Tensor]) -> None:

@@ -55,6 +55,14 @@ class _Dense:
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
 
+def _conv_size(c_in: int, c_out: int) -> int:
+    return c_out * c_in * KERNEL + c_out
+
+
+def _gru_size(n_in: int, hidden: int) -> int:
+    return 3 * (n_in * hidden + hidden * hidden + hidden)
+
+
 def model_inputs(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Windows as both models read them: values clamped to [0, 1], gaps filled."""
     return np.where(mask, np.clip(values, 0.0, 1.0), MISSING_FILL)
@@ -70,12 +78,6 @@ def infer(forward, x: np.ndarray) -> np.ndarray:
         outs = [forward(x[lo:lo + GAP_CHUNK])
                 for lo in range(0, max(x.shape[0], 1), GAP_CHUNK)]
     return np.concatenate([o.data if isinstance(o, Tensor) else o for o in outs])
-
-
-def _gru_over_time(x: Tensor, params: GRUParams) -> tuple[list[Tensor], Tensor]:
-    """Feed a (B, C, L) tensor step by step along its last axis."""
-    steps = [x[:, :, t] for t in range(x.shape[-1])]
-    return gru_forward(steps, params)
 
 
 class RecognizerModel:
@@ -108,6 +110,13 @@ class RecognizerModel:
         if d < 1 or k < 1:
             raise ValueError("d and k must be positive")
 
+    @staticmethod
+    def size(d: int, k: int) -> int:
+        """Number of parameter values in a model for d coordinates and k classes."""
+        chans = (d,) + RECOGNIZER_FILTERS
+        return (sum(_conv_size(a, b) for a, b in zip(chans, chans[1:]))
+                + _gru_size(chans[-1], RECOGNIZER_HIDDEN) + (RECOGNIZER_HIDDEN + 1) * d * k)
+
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
         for i, conv in enumerate((self.conv1, self.conv2, self.conv3), start=1):
@@ -126,7 +135,7 @@ class RecognizerModel:
         h = Tensor(x)
         for conv in (self.conv1, self.conv2, self.conv3):
             h = maxpool1d(relu(conv1d(h, conv.weight, conv.bias)))
-        _, last = _gru_over_time(h, self.gru)
+        _, last = gru_forward(h.transpose(2, 0, 1), self.gru)
         feats = leaky_relu(last)
         logits = feats @ self.head.weight + self.head.bias
         scores = logits.reshape(x.shape[0], self.d, self.k)
@@ -186,6 +195,17 @@ class ReconstructorModel:
             raise ValueError("latent size must be positive")
         return z
 
+    @staticmethod
+    def size(d: int, m: int, latent: int) -> int:
+        """Number of parameter values in a model of these sizes."""
+        enc = (2,) + ENCODER_FILTERS
+        dec = ENCODER_FILTERS[-1:] + DECODER_FILTERS + (1,)
+        convs = (sum(_conv_size(a, b) for a, b in zip(enc, enc[1:]))
+                 + sum(_conv_size(a, b) for a, b in zip(dec, dec[1:])))
+        width = ENCODER_FILTERS[-1] * d
+        return (d * convs + _gru_size(width, m) + _gru_size(m, width)
+                + (m + 1) * latent + (latent + 1) * m * m)
+
     def parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
         for i, stack in enumerate(self.encoders):
@@ -217,7 +237,7 @@ class ReconstructorModel:
                 h = leaky_relu(conv1d(h, conv.weight, conv.bias))
             branches.append(h)             # (B, 32, m)
         merged = concat(branches, axis=1)  # (B, 32*d, m)
-        _, last = _gru_over_time(merged, self.enc_gru)
+        _, last = gru_forward(merged.transpose(2, 0, 1), self.enc_gru)
         return last @ self.to_latent.weight + self.to_latent.bias
 
     def decode(self, z: Tensor) -> Tensor:
@@ -227,12 +247,10 @@ class ReconstructorModel:
         batch = z.shape[0]
         seed = z @ self.from_latent.weight + self.from_latent.bias
         steps_in = seed.reshape(batch, self.m, self.m)   # m steps of m features
-        states, _ = gru_forward(
-            [steps_in[:, t, :] for t in range(self.m)], self.dec_gru)
+        states, _ = gru_forward(steps_in.transpose(1, 0, 2), self.dec_gru)
         width = ENCODER_FILTERS[-1]
         # (B, 32*d, m): hidden state per step laid out as channels
-        trace = concat([s.reshape(batch, width * self.d, 1) for s in states],
-                       axis=2)
+        trace = states.transpose(1, 2, 0)
         outputs = []
         for i, stack in enumerate(self.decoders):
             h = trace[:, i * width:(i + 1) * width, :]

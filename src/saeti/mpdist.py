@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import minimum_filter1d
 
 from .core_ts import MIN_SEGMENT_LEN
 
@@ -152,11 +151,20 @@ def mpdist(a: np.ndarray, b: np.ndarray, ell: int | None = None) -> float:
 
 
 def _sliding_min(rows: np.ndarray, width: int) -> np.ndarray:
-    """Valid-mode sliding minimum of ``width`` along the last axis."""
-    full = minimum_filter1d(rows, size=width, axis=-1, mode="constant", cval=np.inf)
-    lo = width // 2
-    out_len = rows.shape[-1] - width + 1
-    return full[..., lo:lo + out_len]
+    """Valid-mode sliding minimum of ``width`` along the last axis.
+
+    Doubling: after the pass with shift ``span``, entry i holds the
+    minimum of ``rows[..., i:i + 2 * span]``; one last pass with shift
+    ``width - span`` joins two overlapping spans into the full width.
+    """
+    out, span = rows, 1
+    while 2 * span <= width:
+        out = np.minimum(out[..., :-span], out[..., span:])
+        span *= 2
+    rest = width - span
+    if rest:
+        out = np.minimum(out[..., :-rest], out[..., rest:])
+    return out
 
 
 def _kth_smallest_of(vectors, k: int, shape: tuple[int, ...]) -> np.ndarray:

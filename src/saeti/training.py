@@ -449,26 +449,34 @@ def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
     names = tuple(cfg["names"])
     if len(names) != d:
         raise ValueError(f"bundle lists {len(names)} names but its config has d={d}")
+    ell = _inner_window(cfg["ell"], m)
+    RecognizerModel.check_sizes(d, m, k)
+    latent = ReconstructorModel.latent_size(d, m, cfg["latent"])
+    # The file size is checked against the config before anything is
+    # allocated, so a small file cannot ask for a huge model.
+    expected = 8 * (2 * d + d * k * m + RecognizerModel.size(d, k)
+                    + ReconstructorModel.size(d, m, latent))
+    if len(blob) - offset < expected:
+        raise ValueError(f"truncated bundle: {len(blob) - offset} bytes of arrays, "
+                         f"its config implies {expected}")
+    if len(blob) - offset > expected:
+        raise ValueError("bundle has trailing bytes")
     # The blocks are read into the arrays of a bundle built from the config.
     bundle = ModelBundle(
         names=names, norm=NormParams(mins=np.zeros(d), maxs=np.zeros(d)),
-        snippets=np.zeros((d, k, m)), ell=_inner_window(cfg["ell"], m),
+        snippets=np.zeros((d, k, m)), ell=ell,
         recognizer=RecognizerModel(d, m, k, seed=seed),
-        reconstructor=ReconstructorModel(d, m, latent=cfg["latent"], seed=seed),
+        reconstructor=ReconstructorModel(d, m, latent=latent, seed=seed),
         seed=seed)
     arrays = _arrays(bundle)
     if header["arrays"] != [[name, list(a.shape)] for name, a in arrays]:
         raise ValueError("bundle arrays do not match its config")
     for name, a in arrays:
-        if offset + 8 * a.size > len(blob):
-            raise ValueError(f"truncated bundle: block {name} cut short")
         block = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset)
         if not np.isfinite(block).all():
             raise ValueError(f"bundle block {name} holds non-finite values")
         a[...] = block.reshape(a.shape)
         offset += 8 * a.size
-    if offset != len(blob):
-        raise ValueError("bundle has trailing bytes")
     # Rebuilt so NormParams checks the loaded values (min <= max).
     bundle.norm = NormParams(mins=bundle.norm.mins, maxs=bundle.norm.maxs)
     return bundle

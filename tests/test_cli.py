@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,24 @@ def test_malformed_bundle_exits_2_without_output(workdir, tmp_path, capsys, edit
     rc, _ = _impute_with_header(workdir, tmp_path, edit)
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_bundle_asking_for_a_larger_model_exits_2_before_allocating(workdir, tmp_path, capsys):
+    """A header whose config implies far more bytes than the file holds is
+    refused from the config alone: nothing near the model's size is allocated."""
+    header, end, blob = _split_bundle(workdir)
+    header["config"].update(m=1000, latent=10)  # ~110 MB of parameters
+    raw = json.dumps(header).encode("utf-8")
+    blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[end:]
+    tracemalloc.start()
+    try:
+        rc, _ = _impute_with_bundle(workdir, tmp_path, blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < len(blob) + 4 * 2**20
+    assert "truncated bundle" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, where, value", [

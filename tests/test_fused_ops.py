@@ -1,0 +1,222 @@
+"""The one-node conv1d and GRU against the graph-level oracles they replace.
+
+``conv1d_im2col`` is the im2col convolution: ``np.pad``, a
+``sliding_window_view`` of the padded input, one matmul, and a backward
+that adds every kernel tap into the padded gradient. ``gru_graph`` builds
+the GRU step by step from elementwise and matmul nodes. Both must give
+the same values and gradients as ``autograd.conv1d`` and
+``autograd.gru_forward`` for random shapes, including empty batches,
+kernels wider than the input and non-contiguous inputs.
+
+The last tests check that ``Tensor._accumulate`` never lets two tensors
+share a gradient buffer.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+
+from saeti import autograd as ag
+from saeti.autograd import Tensor, sigmoid, tanh
+
+
+def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    squeeze = x.data.ndim == 2
+    xd = x.data[None] if squeeze else x.data
+    c_out, c_in, kw = weight.data.shape
+    b, _, length = xd.shape
+    pad = kw // 2
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+    patches = sliding_window_view(xp, kw, axis=2)          # (B, C_in, L, kw)
+    cols = patches.transpose(0, 2, 1, 3).reshape(b * length, c_in * kw)
+    w2 = weight.data.reshape(c_out, c_in * kw)
+    y = (cols @ w2.T).reshape(b, length, c_out).transpose(0, 2, 1)
+    y = y + bias.data[None, :, None]
+    out = ag._node(y[0] if squeeze else y, (x, weight, bias))
+    if out.requires_grad:
+        def _bwd(g):
+            gb3 = g[None] if squeeze else g
+            g2 = gb3.transpose(0, 2, 1).reshape(b * length, c_out)
+            if weight.requires_grad:
+                weight._accumulate((g2.T @ cols).reshape(c_out, c_in, kw))
+            if bias.requires_grad:
+                bias._accumulate(gb3.sum(axis=(0, 2)))
+            if x.requires_grad:
+                gcols = (g2 @ w2).reshape(b, length, c_in, kw)
+                gxp = np.zeros_like(xp)
+                for t in range(kw):
+                    gxp[:, :, t:t + length] += gcols[:, :, :, t].transpose(0, 2, 1)
+                gx = gxp[:, :, pad:pad + length]
+                x._accumulate(gx[0] if squeeze else gx)
+        out._backward = _bwd
+    return out
+
+
+def gru_graph(xs: list[Tensor], params: ag.GRUParams) -> tuple[list[Tensor], Tensor]:
+    h = Tensor(np.zeros((xs[0].data.shape[0], params.hidden_size)))
+    states = []
+    for x in xs:
+        z = sigmoid(x @ params.w_z + h @ params.u_z + params.b_z)
+        r = sigmoid(x @ params.w_r + h @ params.u_r + params.b_r)
+        cand = tanh(x @ params.w_h + (r * h) @ params.u_h + params.b_h)
+        h = (1.0 - z) * h + z * cand
+        states.append(h)
+    return states, h
+
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+def _grads(tensors):
+    return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([1, 3, 5, 7]), st.integers(1, 9),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, unbatched,
+                                      transposed, seed):
+    rng = np.random.default_rng(seed)
+    if unbatched:
+        batch = 1
+    shape = (batch, c_in, length)
+    if transposed:  # a (B, L, C_in) array read through a transposed view
+        data = rng.normal(size=(batch, length, c_in)).transpose(0, 2, 1)
+    else:
+        data = rng.normal(size=shape)
+    x = Tensor(data[0] if unbatched else data, requires_grad=True)
+    w = Tensor(rng.normal(size=(c_out, c_in, kw)), requires_grad=True)
+    b = Tensor(rng.normal(size=c_out), requires_grad=True)
+    probe = rng.normal(size=x.shape[:-2] + (c_out, length))
+
+    results = []
+    for op in (ag.conv1d, conv1d_im2col):
+        ag.zero_grads([x, w, b])
+        y = op(x, w, b)
+        (y * probe).sum().backward()
+        results.append((y.data.copy(), _grads([x, w, b])))
+    (y_new, g_new), (y_old, g_old) = results
+    assert y_new.shape == y_old.shape == probe.shape
+    _close(y_new, y_old)
+    for a, o in zip(g_new, g_old):
+        _close(a, o)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["list", "time-major", "transposed"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_gru_matches_per_step_graph(steps, batch, n_in, hidden, layout, every_state, seed):
+    rng = np.random.default_rng(seed)
+    params = ag.GRUParams(n_in, hidden, rng)
+    for _, t in params.tensors():  # nonzero biases exercise their gradients
+        if t.data.ndim == 1:
+            t.data[:] = rng.normal(size=hidden)
+    seq = rng.normal(size=(steps, batch, n_in))
+    xs = [Tensor(s, requires_grad=True) for s in seq]
+    if layout == "list":
+        new_input = xs
+    elif layout == "time-major":
+        new_input = Tensor(seq.copy(), requires_grad=True)
+    else:  # a (B, T, F) array read time-major through a transposed view
+        new_input = Tensor(seq.transpose(1, 0, 2).copy().transpose(1, 0, 2), requires_grad=True)
+    probe = rng.normal(size=(steps, batch, hidden))
+    gates = [t for _, t in params.tensors()]
+
+    def loss_of(states, last):
+        if every_state:
+            return (states * probe).sum()
+        return (last * probe[-1]).sum()
+
+    ag.zero_grads(gates + xs)
+    states, last = ag.gru_forward(new_input, params)
+    assert states.shape == (steps, batch, hidden) and last.shape == (batch, hidden)
+    loss_of(states, last).backward()
+    new_gates = _grads(gates)
+    new_x = np.stack(_grads(xs)) if layout == "list" else _grads([new_input])[0]
+
+    ag.zero_grads(gates + xs)
+    old_states, old_last = gru_graph(xs, params)
+    stacked = ag.concat([s.reshape(1, batch, hidden) for s in old_states], axis=0)
+    loss_of(stacked, old_last).backward()
+
+    _close(states.data, stacked.data)
+    _close(last.data, old_last.data)
+    for a, o in zip(new_gates, _grads(gates)):
+        _close(a, o)
+    _close(new_x, np.stack(_grads(xs)))
+
+
+def test_empty_batch_runs_through_both_ops():
+    rng = np.random.default_rng(0)
+    x = Tensor(np.zeros((0, 3, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    y = ag.conv1d(x, w, b)
+    assert y.shape == (0, 2, 6)
+    params = ag.GRUParams(2, 4, rng)
+    states, last = ag.gru_forward(y.transpose(2, 0, 1), params)
+    assert states.shape == (6, 0, 4) and last.shape == (0, 4)
+    (last * 1.0).sum().backward()
+    assert np.array_equal(w.grad, np.zeros_like(w.data))
+    assert x.grad.shape == (0, 3, 6)
+
+
+def _numeric(f, arrays, h=1e-6):
+    grads = []
+    for a in arrays:
+        g = np.zeros_like(a)
+        for i in np.ndindex(a.shape):
+            keep = a[i]
+            a[i] = keep + h
+            fp = f()
+            a[i] = keep - h
+            fm = f()
+            a[i] = keep
+            g[i] = (fp - fm) / (2 * h)
+        grads.append(g)
+    return grads
+
+
+def test_first_gradient_write_owns_its_buffer():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    double = x + x                 # one gradient array reaches x twice
+    square = x * x
+    shared = x + y                 # one gradient array reaches two parents
+    loss = ((double * square) + (shared * y) * 3.0).sum()
+    loss.backward()
+
+    nodes = [x, y, double, square, shared]
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+    # Upstream gradients are left as they were after their parents used them.
+    assert np.array_equal(double.grad, square.data)
+    assert np.array_equal(shared.grad, 3.0 * y.data)
+
+    def value():
+        return float((((x.data + x.data) * (x.data * x.data))
+                      + (x.data + y.data) * y.data * 3.0).sum())
+    num_x, num_y = _numeric(value, [x.data, y.data])
+    np.testing.assert_allclose(x.grad, num_x, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(y.grad, num_y, rtol=1e-6, atol=1e-6)
+
+
+def test_second_backward_adds_without_touching_the_first_source():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    s = x + x
+    loss = (s * 2.0).sum()
+    loss.backward()
+    first = x.grad
+    assert not np.shares_memory(first, s.grad)
+    np.testing.assert_array_equal(first, [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(s.grad, [2.0, 2.0, 2.0])
+    (x * 5.0).sum().backward()
+    assert x.grad is first
+    np.testing.assert_array_equal(x.grad, [9.0, 9.0, 9.0])
+    np.testing.assert_array_equal(s.grad, [2.0, 2.0, 2.0])

@@ -119,3 +119,13 @@ def test_gradients_reach_every_parameter():
     for name, p in recon.parameters():
         assert p.grad is not None, name
         assert np.any(p.grad != 0), name
+
+
+@pytest.mark.parametrize("d, m, k, latent", [(1, 8, 1, 1), (2, 16, 2, None), (3, 9, 5, 7),
+                                             (4, 32, 3, None)])
+def test_size_counts_every_parameter_value(d, m, k, latent):
+    recog = RecognizerModel(d, m, k)
+    assert RecognizerModel.size(d, k) == sum(p.data.size for _, p in recog.parameters())
+    recon = ReconstructorModel(d, m, latent=latent)
+    assert (ReconstructorModel.size(d, m, recon.latent)
+            == sum(p.data.size for _, p in recon.parameters()))
