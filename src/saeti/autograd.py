@@ -4,9 +4,9 @@ A :class:`Tensor` wraps a numpy array and, when gradients are required,
 records a backward closure plus its parents so that ``backward()`` on a
 scalar loss can replay the chain rule over a topological ordering. Ops
 are deliberately coarse so graphs stay small and the heavy lifting runs
-inside BLAS. A convolution is one node that works time-major: one GEMM
-over the ``(B·L, kw·C_in)`` columns of a ``(B, L, C_in)`` view of its
-input; its input gradient is the same routine run on the output gradient
+inside BLAS. A convolution is one node that works time-major: one
+accumulating GEMM per tap over the zero-padded input rows; no column
+array. Its input gradient is the same routine run on the output gradient
 with the flipped, transposed kernel. A GRU over a whole sequence is one
 node: one GEMM projects every step, z and r share one recurrent product,
 and a hand-written backward through time fills the nine gate gradients.
@@ -33,6 +33,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "zero_grads",
     "Adam",
     "glorot_uniform",
+    "init_weight",
 ]
 
 LEAKY_SLOPE = 0.01
@@ -324,11 +326,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    out = _node(np.where(x.data > 0, x.data, slope * x.data), (x,))
+    # The factor is exactly 1 or slope. Arithmetic on the mask runs several
+    # times faster than np.where, and the backward keeps only the mask.
+    keep = x.data > 0
+    out = _node(x.data * (keep + slope * ~keep), (x,))
     if out.requires_grad:
-        factor = np.where(x.data > 0, 1.0, slope)
         def _bwd(g):
-            x._accumulate(g * factor)
+            x._accumulate(g * (keep + slope * ~keep))
         out._backward = _bwd
     return out
 
@@ -353,23 +357,29 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def _pad_rows(xt: np.ndarray, pad: int) -> np.ndarray:
+    """``(B, L, C)`` ``xt`` as ``(B·(L+2·pad), C)`` rows, each item between ``pad`` zero rows."""
+    xp = np.zeros((xt.shape[0], xt.shape[1] + 2 * pad, xt.shape[2]))
+    xp[:, pad:pad + xt.shape[1]] = xt
+    return xp.reshape(-1, xt.shape[2])
+
+
 def _conv_time_major(xt: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded convolution of ``(B, L, C_in)`` ``xt`` with a ``(C_out, C_in, kw)`` kernel.
 
-    Returns the ``(B·L, C_out)`` product and the ``(B·L, kw·C_in)``
-    columns it came from: kw slab copies out of a zero-padded buffer and
-    one GEMM.
+    Returns the ``(B, L, C_out)`` output and the zero-padded input rows:
+    one GEMM per tap ``t`` adds ``rows[r + t] @ W[:, :, t]`` into output
+    row ``r``, on Fortran-ordered views that f2py passes without a copy.
     """
-    b, length, c_in = xt.shape
+    b, length, _ = xt.shape
     c_out, _, kw = weight.shape
-    pad = kw // 2
-    xp = np.zeros((b, length + 2 * pad, c_in))
-    xp[:, pad:pad + length] = xt
-    cols = np.empty((b, length, kw, c_in))
-    for t in range(kw):
-        cols[:, :, t] = xp[:, t:t + length]
-    cols = cols.reshape(b * length, kw * c_in)
-    return cols @ weight.transpose(2, 1, 0).reshape(kw * c_in, c_out), cols
+    xp = _pad_rows(xt, kw // 2)
+    y = np.empty((len(xp), c_out))
+    taps = weight.transpose(2, 1, 0).copy()     # taps[t].T is W[:, :, t], Fortran order
+    rows = len(xp) - kw + 1                     # rows straddling two items are never read
+    for t in range(kw if rows > 0 else 0):
+        dgemm(1.0, taps[t].T, xp[t:t + rows].T, beta=float(t > 0), c=y[:rows].T, overwrite_c=1)
+    return y.reshape(b, length + kw - 1, c_out)[:, :length], xp
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -377,37 +387,37 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     ``x`` is ``(C_in, L)`` or batched ``(B, C_in, L)``; ``weight`` is
     ``(C_out, C_in, kw)`` with odd ``kw``; output length equals input
-    length. One node; the output is a view of a ``(B, L, C_out)`` array.
+    length. One node: one accumulating GEMM per tap over the zero-padded
+    input rows; no column array. Backward keeps the padded input rows.
     """
     squeeze = x.data.ndim == 2
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 3:
         raise ValueError("conv1d input must be (C_in, L) or (B, C_in, L)")
-    c_out, c_in, kw = weight.data.shape
+    _, c_in, kw = weight.data.shape
     if kw % 2 == 0:
         raise ValueError(f"kernel width must be odd, got {kw}")
     if xd.shape[1] != c_in:
         raise ValueError(f"channel mismatch: input has {xd.shape[1]}, kernel expects {c_in}")
-    b, _, length = xd.shape
-    y, cols = _conv_time_major(xd.transpose(0, 2, 1), weight.data)
+    y, xp = _conv_time_major(xd.transpose(0, 2, 1), weight.data)
     y += bias.data
-    y = y.reshape(b, length, c_out).transpose(0, 2, 1)
-    out = _node(y[0] if squeeze else y, (x, weight, bias))
+    out = _node(y[0].T if squeeze else y.transpose(0, 2, 1), (x, weight, bias))
     if out.requires_grad:
         def _bwd(g):
             gt = (g[None] if squeeze else g).transpose(0, 2, 1)    # (B, L, C_out)
-            if weight.requires_grad:
-                gw = cols.T @ gt.reshape(b * length, c_out)
-                weight._accumulate(gw.reshape(kw, c_in, c_out).transpose(2, 1, 0))
-            if bias.requires_grad:
-                bias._accumulate(gt.sum(axis=(0, 1)))
             if x.requires_grad:
                 # Transposed convolution: the input gradient is the same-padded
                 # convolution of g with the flipped kernel, C_in and C_out swapped.
-                flipped = weight.data.transpose(1, 0, 2)[:, :, ::-1]
-                gx, _ = _conv_time_major(gt, flipped)
-                gx = gx.reshape(b, length, c_in).transpose(0, 2, 1)
-                x._accumulate(gx[0] if squeeze else gx)
+                gx, gp = _conv_time_major(gt, weight.data.transpose(1, 0, 2)[:, :, ::-1])
+                x._accumulate(gx[0].T if squeeze else gx.transpose(0, 2, 1))
+            else:
+                gp = _pad_rows(gt, kw // 2)
+            if weight.requires_grad:    # output row r is padded gradient row r + pad
+                rows, pad = len(gp) - kw + 1, kw // 2
+                gw = np.stack([xp[t:t + rows].T @ gp[pad:pad + rows] for t in range(kw)])
+                weight._accumulate(gw.transpose(2, 1, 0))
+            if bias.requires_grad:
+                bias._accumulate(gp.sum(axis=0))
         out._backward = _bwd
     return out
 
@@ -526,12 +536,12 @@ class GRUParams:
 
     GATES = ("z", "r", "h")
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator | None):
         self.input_size = input_size
         self.hidden_size = hidden_size
         for gate in self.GATES:
-            setattr(self, f"w_{gate}", glorot_uniform((input_size, hidden_size), rng))
-            setattr(self, f"u_{gate}", glorot_uniform((hidden_size, hidden_size), rng))
+            setattr(self, f"w_{gate}", init_weight((input_size, hidden_size), rng))
+            setattr(self, f"u_{gate}", init_weight((hidden_size, hidden_size), rng))
             setattr(self, f"b_{gate}", Tensor(np.zeros(hidden_size), requires_grad=True))
 
     def tensors(self) -> list[tuple[str, Tensor]]:
@@ -634,6 +644,13 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator,
             raise ValueError("cannot infer fans; pass fan_in/fan_out")
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
+
+
+def init_weight(shape: tuple[int, ...], rng: np.random.Generator | None) -> Tensor:
+    """A glorot-uniform weight, or zeros with no draw when ``rng`` is None (a loader fills it)."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
+    return glorot_uniform(shape, rng)
 
 
 class Adam:

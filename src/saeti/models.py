@@ -18,8 +18,8 @@ from .autograd import (
     Tensor,
     concat,
     conv1d,
-    glorot_uniform,
     gru_forward,
+    init_weight,
     leaky_relu,
     maxpool1d,
     no_grad,
@@ -44,14 +44,14 @@ DECODER_FILTERS = (64, 128)
 class _Conv:
     """Weight/bias pair for one same-padded convolution."""
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        self.weight = glorot_uniform((c_out, c_in, KERNEL), rng)
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None):
+        self.weight = init_weight((c_out, c_in, KERNEL), rng)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
 
 class _Dense:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        self.weight = glorot_uniform((n_in, n_out), rng)
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
+        self.weight = init_weight((n_in, n_out), rng)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
 
@@ -85,16 +85,15 @@ class RecognizerModel:
 
     Three convolution/pool stages shrink the window, a GRU reads what is
     left of the sequence, and a dense head emits per-coordinate
-    probabilities.
+    probabilities. ``seed=None`` leaves the weights at zero, drawing nothing.
     """
 
-    def __init__(self, d: int, m: int, k: int, seed: int = 0):
+    def __init__(self, d: int, m: int, k: int, seed: int | None = 0):
         self.check_sizes(d, m, k)
         self.d = d
         self.m = m
         self.k = k
-        self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         f1, f2, f3 = RECOGNIZER_FILTERS
         self.conv1 = _Conv(d, f1, rng)
         self.conv2 = _Conv(f1, f2, rng)
@@ -158,16 +157,15 @@ class ReconstructorModel:
     -1 at gaps, and the snippet suggested for that window); the output
     is a sigmoid reconstruction of the window itself. Encoding funnels
     per-coordinate conv stacks into a GRU and a dense bottleneck;
-    decoding mirrors it back.
+    decoding mirrors it back. ``seed=None`` leaves the weights at zero.
     """
 
-    def __init__(self, d: int, m: int, latent: int | None = None, seed: int = 0):
+    def __init__(self, d: int, m: int, latent: int | None = None, seed: int | None = 0):
         z = self.latent_size(d, m, latent)
         self.d = d
         self.m = m
         self.latent = z
-        self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         e1, e2, e3 = ENCODER_FILTERS
         self.encoders = [
             (_Conv(2, e1, rng), _Conv(e1, e2, rng), _Conv(e2, e3, rng))

@@ -461,12 +461,13 @@ def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
                          f"its config implies {expected}")
     if len(blob) - offset > expected:
         raise ValueError("bundle has trailing bytes")
-    # The blocks are read into the arrays of a bundle built from the config.
+    # The blocks are read into the zeroed arrays of a bundle built from the
+    # config; its models draw no initial values.
     bundle = ModelBundle(
         names=names, norm=NormParams(mins=np.zeros(d), maxs=np.zeros(d)),
         snippets=np.zeros((d, k, m)), ell=ell,
-        recognizer=RecognizerModel(d, m, k, seed=seed),
-        reconstructor=ReconstructorModel(d, m, latent=latent, seed=seed),
+        recognizer=RecognizerModel(d, m, k, seed=None),
+        reconstructor=ReconstructorModel(d, m, latent=latent, seed=None),
         seed=seed)
     arrays = _arrays(bundle)
     if header["arrays"] != [[name, list(a.shape)] for name, a in arrays]:

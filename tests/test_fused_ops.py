@@ -8,14 +8,19 @@ the same values and gradients as ``autograd.conv1d`` and
 ``autograd.gru_forward`` for random shapes, including empty batches,
 kernels wider than the input and non-contiguous inputs.
 
-The last tests check that ``Tensor._accumulate`` never lets two tensors
-share a gradient buffer.
+Further tests check that ``Tensor._accumulate`` never lets two tensors
+share a gradient buffer, that ``conv1d`` hands BLAS its operands without
+a copy and holds the padded input rather than an im2col column array,
+and that ``leaky_relu`` keeps a boolean mask for its backward.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgemm
 
 from saeti import autograd as ag
 from saeti.autograd import Tensor, sigmoid, tanh
@@ -220,3 +225,77 @@ def test_second_backward_adds_without_touching_the_first_source():
     assert x.grad is first
     np.testing.assert_array_equal(x.grad, [9.0, 9.0, 9.0])
     np.testing.assert_array_equal(s.grad, [2.0, 2.0, 2.0])
+
+
+def test_conv1d_passes_every_dgemm_operand_without_a_copy(monkeypatch):
+    """f2py copies a non-Fortran-ordered operand without a warning.
+
+    A copied ``c`` would also lose the accumulation, so each call must get
+    Fortran-ordered views and write its product into ``c`` itself.
+    """
+    calls = []
+
+    def checked(alpha, a, b, beta, c, overwrite_c):
+        assert a.flags.f_contiguous and b.flags.f_contiguous and c.flags.f_contiguous
+        result = dgemm(alpha, a, b, beta=beta, c=c, overwrite_c=overwrite_c)
+        assert result.ctypes.data == c.ctypes.data
+        calls.append(a.shape)
+        return result
+
+    monkeypatch.setattr(ag, "dgemm", checked)
+    rng = np.random.default_rng(2)
+    for data, kw in ((rng.normal(size=(3, 4, 7)), 5),
+                     (rng.normal(size=(2, 7, 4)).transpose(0, 2, 1), 3),
+                     (rng.normal(size=(4, 7)), 1)):
+        x = Tensor(data, requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 4, kw)), requires_grad=True)
+        b = Tensor(rng.normal(size=6), requires_grad=True)
+        (ag.conv1d(x, w, b) ** 2).sum().backward()
+    assert len(calls) == 2 * (5 + 3 + 1)
+
+
+def _conv_memory(op):
+    """Bytes held after a forward, and the backward's peak, at B=32, L=32, 128 -> 64, kw=5."""
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(32, 128, 32)), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 128, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=64), requires_grad=True)
+    probe = Tensor(rng.normal(size=(32, 64, 32)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = op(x, w, b)
+        held = tracemalloc.get_traced_memory()[0] - before
+        loss = (y * probe).sum()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return held / x.data.nbytes, peak
+
+
+def test_conv1d_keeps_the_padded_input_not_columns():
+    held, peak = _conv_memory(ag.conv1d)
+    im2col_held, im2col_peak = _conv_memory(conv1d_im2col)
+    assert held < 2.5, held
+    assert im2col_held > 5.0
+    assert peak < im2col_peak, (peak, im2col_peak)
+
+
+def test_leaky_relu_keeps_a_boolean_mask_with_the_same_gradient_bits():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(16, 64, 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = ag.leaky_relu(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # The output plus one byte per element; a float factor array is 8 more.
+    assert held < y.data.nbytes + 2 * x.data.size, held
+    g = rng.normal(size=x.shape)
+    (y * g).sum().backward()
+    assert np.array_equal(x.grad, g * np.where(x.data > 0, 1.0, ag.LEAKY_SLOPE))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti import models
+from saeti import autograd, models
 from saeti.autograd import no_grad
 from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
@@ -226,6 +226,20 @@ def test_train_bundle_and_roundtrip(tmp_path, norm_and_sets):
     path2 = tmp_path / "again.bundle"
     save_bundle(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatch):
+    ts_norm, norm, sets = norm_and_sets
+    bundle, _, _ = train_bundle(ts_norm, norm, sets, TrainConfig(m=16, k=2, seed=3, max_epochs=1))
+    path, again = tmp_path / "model.bundle", tmp_path / "again.bundle"
+    save_bundle(bundle, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_bundle drew an initial value it then overwrites")
+
+    monkeypatch.setattr(autograd, "glorot_uniform", refuse)
+    save_bundle(load_bundle(path), again)
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_training_determinism(norm_and_sets):
