@@ -10,19 +10,23 @@ array. Its input gradient is the same routine run on the output gradient
 with the flipped, transposed kernel. A GRU over a whole sequence is one
 node: one GEMM projects every step, z and r share one recurrent product,
 and a hand-written backward through time fills the nine gate gradients.
+The classification loss is one node on logits: a max-shifted log-sum-exp
+forward and a ``softmax - onehot`` backward, finite for any finite logits.
 
 Conventions baked in here:
 
 * gradients accumulate across repeated ``backward()`` calls until
   :func:`zero_grads` resets them to exact zeros;
-* convolutions use same-padding with zeros and odd kernel widths;
-* max-pooling keeps a trailing singleton window for odd lengths and
-  routes gradient to the first maximal element on ties;
-* leaky ReLU slope is 0.01 unless overridden;
+* convolutions take batched ``(B, C_in, L)`` input, use same-padding
+  with zeros and odd kernel widths;
+* max-pooling takes pairs, keeps a trailing singleton window for odd
+  lengths and routes gradient to the first maximal element on ties;
+* leaky ReLU slope is ``LEAKY_SLOPE`` (0.01);
 * the GRU recurrence is ``h_t = (1 - z_t) * h_{t-1} + z_t * h_cand`` with
   sigmoid update/reset gates, a tanh candidate and a zero initial state;
 * parameters initialize uniform(-a, a) with ``a = sqrt(6 / (fan_in +
-  fan_out))``, biases at zero, from a caller-supplied seeded generator.
+  fan_out))``, biases at zero, from a caller-supplied seeded generator;
+* Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "leaky_relu",
     "sigmoid",
     "tanh",
-    "softmax",
     "cross_entropy",
     "masked_mse",
     "gru_forward",
@@ -58,6 +61,9 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.01
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _GRAD_ENABLED = contextvars.ContextVar("saeti_grad_enabled", default=True)
 
@@ -325,14 +331,14 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    # The factor is exactly 1 or slope. Arithmetic on the mask runs several
-    # times faster than np.where, and the backward keeps only the mask.
+def leaky_relu(x: Tensor) -> Tensor:
+    # The factor is exactly 1 or LEAKY_SLOPE. Arithmetic on the mask runs
+    # several times faster than np.where, and the backward keeps only the mask.
     keep = x.data > 0
-    out = _node(x.data * (keep + slope * ~keep), (x,))
+    out = _node(x.data * (keep + LEAKY_SLOPE * ~keep), (x,))
     if out.requires_grad:
         def _bwd(g):
-            x._accumulate(g * (keep + slope * ~keep))
+            x._accumulate(g * (keep + LEAKY_SLOPE * ~keep))
         out._backward = _bwd
     return out
 
@@ -385,31 +391,29 @@ def _conv_time_major(xt: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-padded 1-D convolution.
 
-    ``x`` is ``(C_in, L)`` or batched ``(B, C_in, L)``; ``weight`` is
-    ``(C_out, C_in, kw)`` with odd ``kw``; output length equals input
-    length. One node: one accumulating GEMM per tap over the zero-padded
-    input rows; no column array. Backward keeps the padded input rows.
+    ``x`` is batched ``(B, C_in, L)``; ``weight`` is ``(C_out, C_in, kw)``
+    with odd ``kw``; output length equals input length. One node: one
+    accumulating GEMM per tap over the zero-padded input rows; no column
+    array. Backward keeps the padded input rows.
     """
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3:
-        raise ValueError("conv1d input must be (C_in, L) or (B, C_in, L)")
+    if x.data.ndim != 3:
+        raise ValueError(f"conv1d input must be (B, C_in, L), got shape {x.data.shape}")
     _, c_in, kw = weight.data.shape
     if kw % 2 == 0:
         raise ValueError(f"kernel width must be odd, got {kw}")
-    if xd.shape[1] != c_in:
-        raise ValueError(f"channel mismatch: input has {xd.shape[1]}, kernel expects {c_in}")
-    y, xp = _conv_time_major(xd.transpose(0, 2, 1), weight.data)
+    if x.data.shape[1] != c_in:
+        raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, kernel expects {c_in}")
+    y, xp = _conv_time_major(x.data.transpose(0, 2, 1), weight.data)
     y += bias.data
-    out = _node(y[0].T if squeeze else y.transpose(0, 2, 1), (x, weight, bias))
+    out = _node(y.transpose(0, 2, 1), (x, weight, bias))
     if out.requires_grad:
         def _bwd(g):
-            gt = (g[None] if squeeze else g).transpose(0, 2, 1)    # (B, L, C_out)
+            gt = g.transpose(0, 2, 1)    # (B, L, C_out)
             if x.requires_grad:
                 # Transposed convolution: the input gradient is the same-padded
                 # convolution of g with the flipped kernel, C_in and C_out swapped.
                 gx, gp = _conv_time_major(gt, weight.data.transpose(1, 0, 2)[:, :, ::-1])
-                x._accumulate(gx[0].T if squeeze else gx.transpose(0, 2, 1))
+                x._accumulate(gx.transpose(0, 2, 1))
             else:
                 gp = _pad_rows(gt, kw // 2)
             if weight.requires_grad:    # output row r is padded gradient row r + pad
@@ -422,10 +426,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def maxpool1d(x: Tensor, window: int = 2) -> Tensor:
-    """Max-pool along the last axis; odd lengths keep a final singleton."""
-    if window != 2:
-        raise ValueError("only window=2 pooling is supported")
+def maxpool1d(x: Tensor) -> Tensor:
+    """Max-pool pairs along the last axis; odd lengths keep a final singleton."""
     length = x.data.shape[-1]
     if length < 1:
         raise ValueError("cannot pool an empty axis")
@@ -450,55 +452,32 @@ def maxpool1d(x: Tensor, window: int = 2) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; rows sum to one."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (x,))
-    if out.requires_grad:
-        def _bwd(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._accumulate(y * (g - dot))
-        out._backward = _bwd
-    return out
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Summed negative log-likelihood of integer classes under ``softmax(logits)``.
 
-
-def cross_entropy(probs: Tensor, target) -> Tensor:
-    """Summed negative log-likelihood of integer classes under ``probs``.
-
-    ``probs`` holds probabilities along the last axis; ``target`` is an
-    integer index (1-D probs) or an integer array matching the leading
-    shape. The result is the sum over all target positions; divide by the
-    batch size at the call site when a mean is wanted.
+    ``logits`` is ``(..., k)`` with at least one leading axis; ``target``
+    is an integer array of the leading shape. The result is the sum over
+    all target positions; divide by the batch size at the call site when
+    a mean is wanted. One node: the forward is a max-shifted log-sum-exp,
+    the backward ``g * (softmax - onehot)``, both finite for any finite
+    logits, however confident or wrong.
     """
     target = np.asarray(target)
-    if probs.data.ndim == 1:
-        gather = probs.data[int(target)]
-        picked = np.array([gather])
-        index = (np.array([int(target)]),)
-        flat_shape = (1,)
-    else:
-        lead = probs.data.shape[:-1]
-        if target.shape != lead:
-            raise ValueError(f"target shape {target.shape} != {lead}")
-        flat = probs.data.reshape(-1, probs.data.shape[-1])
-        rows = np.arange(flat.shape[0])
-        cols = target.reshape(-1)
-        picked = flat[rows, cols]
-        index = (rows, cols)
-        flat_shape = flat.shape
-    picked = np.maximum(picked, 1e-300)  # guard log(0) -> inf, not NaN
-    out = _node(np.array(-np.log(picked).sum()), (probs,))
+    lead = logits.data.shape[:-1]
+    if not lead or target.shape != lead:
+        raise ValueError(f"target shape {target.shape} != leading logits shape {lead}")
+    shifted = logits.data.reshape(-1, logits.data.shape[-1])
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    index = (np.arange(len(shifted)), target.reshape(-1))
+    out = _node(np.array((np.log(total) - shifted[index]).sum()), (logits,))
     if out.requires_grad:
         def _bwd(g):
-            gflat = np.zeros(flat_shape)
-            if probs.data.ndim == 1:
-                gflat[index[0][0]] = -g / picked[0]
-                probs._accumulate(gflat)
-            else:
-                gflat[index] = -g / picked
-                probs._accumulate(gflat.reshape(probs.data.shape))
+            grad = e / total[:, None]
+            grad[index] -= 1.0
+            grad *= g
+            logits._accumulate(grad.reshape(logits.data.shape))
         out._backward = _bwd
     return out
 
@@ -631,17 +610,17 @@ def zero_grads(params: list[Tensor]) -> None:
         p.grad = None
 
 
-def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-                   fan_in: int | None = None, fan_out: int | None = None) -> Tensor:
-    """Uniform(-a, a) init with ``a = sqrt(6 / (fan_in + fan_out))``."""
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-        elif len(shape) == 3:  # conv kernels (C_out, C_in, kw)
-            c_out, c_in, kw = shape
-            fan_in, fan_out = c_in * kw, c_out * kw
-        else:
-            raise ValueError("cannot infer fans; pass fan_in/fan_out")
+def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
+    """Uniform(-a, a) init with ``a = sqrt(6 / (fan_in + fan_out))``.
+
+    ``shape`` is a dense ``(fan_in, fan_out)`` weight or a ``(C_out, C_in,
+    kw)`` conv kernel, whose fans are ``C_in * kw`` and ``C_out * kw``.
+    """
+    if len(shape) == 3:
+        c_out, c_in, kw = shape
+        fan_in, fan_out = c_in * kw, c_out * kw
+    else:
+        fan_in, fan_out = shape
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
 
@@ -656,13 +635,9 @@ def init_weight(shape: tuple[int, ...], rng: np.random.Generator | None) -> Tens
 class Adam:
     """Adam with bias correction over a fixed parameter list."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -670,15 +645,14 @@ class Adam:
     def step(self):
         """One update of every parameter that has a gradient."""
         self.t += 1
-        beta1, beta2 = self.beta1, self.beta2
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** self.t)
-            v_hat = v / (1.0 - beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

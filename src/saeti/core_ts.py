@@ -44,7 +44,7 @@ class TimeSeries:
     mask : ndarray of bool, shape (n, d)
         True where the point is observed.
     names : tuple of str
-        One name per coordinate (CSV header).
+        One distinct name per coordinate (CSV header).
     """
 
     values: np.ndarray
@@ -68,6 +68,9 @@ class TimeSeries:
         )
         if len(names) != values.shape[1]:
             raise ValueError("one name per coordinate required")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"coordinate names must be distinct, repeated: {repeated}")
         bad = mask & ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]

@@ -25,7 +25,6 @@ from .autograd import (
     no_grad,
     relu,
     sigmoid,
-    softmax,
 )
 
 __all__ = ["RecognizerModel", "ReconstructorModel", "MISSING_FILL", "model_inputs", "infer"]
@@ -84,8 +83,9 @@ class RecognizerModel:
     """Classify each coordinate of a window into one of k snippet ranks.
 
     Three convolution/pool stages shrink the window, a GRU reads what is
-    left of the sequence, and a dense head emits per-coordinate
-    probabilities. ``seed=None`` leaves the weights at zero, drawing nothing.
+    left of the sequence, and a dense head emits per-coordinate class
+    logits, which :func:`autograd.cross_entropy` scores directly. ``seed=None``
+    leaves the weights at zero, drawing nothing.
     """
 
     def __init__(self, d: int, m: int, k: int, seed: int | None = 0):
@@ -127,7 +127,7 @@ class RecognizerModel:
         return named
 
     def forward(self, x: np.ndarray) -> Tensor:
-        """Map (B, d, m) windows to (B, d, k) class probabilities."""
+        """Map (B, d, m) windows to (B, d, k) class logits."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 3 or x.shape[1] != self.d or x.shape[2] != self.m:
             raise ValueError(f"expected (B, {self.d}, {self.m}) input, got {x.shape}")
@@ -137,13 +137,11 @@ class RecognizerModel:
         _, last = gru_forward(h.transpose(2, 0, 1), self.gru)
         feats = leaky_relu(last)
         logits = feats @ self.head.weight + self.head.bias
-        scores = logits.reshape(x.shape[0], self.d, self.k)
-        return softmax(scores, axis=-1)
+        return logits.reshape(x.shape[0], self.d, self.k)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Most likely class per coordinate, 0-based, shape (B, d)."""
-        probs = self.forward(np.asarray(x, dtype=float))
-        return np.argmax(probs.data, axis=-1)
+        """Most likely class per coordinate (the largest logit), 0-based, shape (B, d)."""
+        return np.argmax(self.forward(x).data, axis=-1)
 
 
 def default_latent(d: int, m: int) -> int:

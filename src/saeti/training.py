@@ -282,15 +282,16 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
                      config: TrainConfig) -> list[EpochStats]:
     """Train the classifier with :func:`_fit`.
 
-    The loss is cross-entropy summed over coordinates, averaged over the
-    batch. Input windows are occluded: per sample, a share of points drawn
-    uniformly between 0 and twice the configured fraction (mean = the
-    configured fraction) is replaced by the missing-value fill. At use the
-    classifier sees anything from untouched windows to mostly-hidden ones,
-    so training has to cover that whole range; a fixed share would let it
-    key on the occlusion pattern itself. Validation inputs get one fixed
-    occlusion at the nominal fraction drawn up front; accuracy in the
-    history rows is measured on those.
+    The loss is the fused cross-entropy of the logits, summed over
+    coordinates and averaged over the batch. Input windows are occluded:
+    per sample, a share of points drawn uniformly between 0 and twice the
+    configured fraction (mean = the configured fraction) is replaced by
+    the missing-value fill. At use the classifier sees anything from
+    untouched windows to mostly-hidden ones, so training has to cover
+    that whole range; a fixed share would let it key on the occlusion
+    pattern itself. Validation inputs get one fixed occlusion at the
+    nominal fraction drawn up front; accuracy in the history rows is
+    measured on those.
     """
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
@@ -310,9 +311,9 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
         return loss, batch.shape[0]
 
     def validate():
-        probs = model.forward(val_x)
-        val_loss = cross_entropy(probs, y[val_idx]).item() / val_idx.shape[0]
-        return val_loss, float(np.mean(np.argmax(probs.data, axis=-1) == y[val_idx]))
+        logits = model.forward(val_x)
+        val_loss = cross_entropy(logits, y[val_idx]).item() / val_idx.shape[0]
+        return val_loss, float(np.mean(np.argmax(logits.data, axis=-1) == y[val_idx]))
 
     return _fit(model, config, rng, train_idx, batch_loss, validate)
 
@@ -415,8 +416,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 def load_bundle(path) -> ModelBundle:
     """Read a bundle back; anything malformed raises ``ValueError``.
 
-    The arrays the header lists must be exactly those its config implies,
-    every value must be finite, and the file must end with the last block.
+    The config must name ``d`` distinct coordinates, the arrays the header
+    lists must be exactly those its config implies, every value must be
+    finite, and the file must end with the last block.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -446,9 +448,14 @@ def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
         if type(cfg[key]) is not int:
             raise TypeError(f"config {key} must be an integer, got {cfg[key]!r}")
     d, m, k, seed = cfg["d"], cfg["m"], cfg["k"], cfg["seed"]
-    names = tuple(cfg["names"])
+    names = cfg["names"]
+    if type(names) is not list or not all(type(name) is str for name in names):
+        raise TypeError(f"config names must be a list of strings, got {names!r}")
     if len(names) != d:
         raise ValueError(f"bundle lists {len(names)} names but its config has d={d}")
+    if len(set(names)) != d:
+        raise ValueError(f"bundle names repeat a coordinate: {names!r}")
+    names = tuple(names)
     ell = _inner_window(cfg["ell"], m)
     RecognizerModel.check_sizes(d, m, k)
     latent = ReconstructorModel.latent_size(d, m, cfg["latent"])

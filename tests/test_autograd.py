@@ -83,11 +83,16 @@ def test_nonlinearities():
 
 
 def test_softmax_rows_sum_to_one_and_grad():
+    # The softmax inside the fused loss: its gradient plus the one-hot target.
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 6))
-    y = ag.softmax(ag.Tensor(x))
-    assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
-    check_grads(lambda a: (ag.softmax(a) ** 2).sum(), [x])
+    t = rng.integers(0, 6, size=3)
+    a = ag.Tensor(x, requires_grad=True)
+    ag.cross_entropy(a, t).backward()
+    y = a.grad + np.eye(6)[t]
+    assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.all(y > 0)
+    check_grads(lambda a: (ag.cross_entropy(a, t) * 2.0) ** 2, [x])
 
 
 def test_conv1d_grad_batched_and_unbatched():
@@ -96,8 +101,9 @@ def test_conv1d_grad_batched_and_unbatched():
     b = rng.normal(size=3) * 0.1
     check_grads(lambda x, ww, bb: (ag.conv1d(x, ww, bb) ** 2).sum(),
                 [rng.normal(size=(2, 2, 9)), w.copy(), b.copy()])
+    # A single window is a batch of one.
     check_grads(lambda x, ww, bb: (ag.conv1d(x, ww, bb) ** 2).sum(),
-                [rng.normal(size=(2, 9)), w.copy(), b.copy()])
+                [rng.normal(size=(1, 2, 9)), w.copy(), b.copy()])
 
 
 def test_conv1d_same_length_output_and_errors():
@@ -109,14 +115,16 @@ def test_conv1d_same_length_output_and_errors():
         ag.conv1d(x, ag.Tensor(np.zeros((4, 2, 4))), ag.Tensor(np.zeros(4)))
     with pytest.raises(ValueError, match="channel mismatch"):
         ag.conv1d(x, ag.Tensor(np.zeros((4, 3, 5))), ag.Tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match=r"must be \(B, C_in, L\)"):
+        ag.conv1d(ag.Tensor(np.zeros((2, 13))), w, b)
 
 
 def test_conv1d_hand_case():
     # single channel, kernel [1, 2, 3], zero padding at both ends
-    x = ag.Tensor(np.array([[1.0, 2.0, 3.0]]))
+    x = ag.Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     w = ag.Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     b = ag.Tensor(np.array([0.5]))
-    out = ag.conv1d(x, w, b).data[0]
+    out = ag.conv1d(x, w, b).data[0, 0]
     assert np.allclose(out, [0*1 + 1*2 + 2*3 + 0.5,
                              1*1 + 2*2 + 3*3 + 0.5,
                              2*1 + 3*2 + 0*3 + 0.5])
@@ -135,12 +143,23 @@ def test_maxpool_even_odd_and_tie():
 
 
 def test_cross_entropy_hand_value_and_grad():
-    p = ag.Tensor(np.array([0.5, 0.5]))
-    assert abs(ag.cross_entropy(p, 0).item() - np.log(2.0)) <= 1e-15
+    logits = ag.Tensor(np.array([[3.0, 3.0]]))
+    assert abs(ag.cross_entropy(logits, [0]).item() - np.log(2.0)) <= 1e-15
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 3, 4))
     t = rng.integers(0, 4, size=(2, 3))
-    check_grads(lambda a: ag.cross_entropy(ag.softmax(a), t), [x])
+    check_grads(lambda a: ag.cross_entropy(a, t), [x])
+    with pytest.raises(ValueError, match="target shape"):
+        ag.cross_entropy(ag.Tensor(np.zeros(3)), 0)
+
+
+def test_cross_entropy_saturated_logits_keep_a_bounded_gradient():
+    # Confidently wrong: softmax underflows to an exact 0 at the target.
+    logits = ag.Tensor(np.array([[800.0, 0.0, 0.0]]), requires_grad=True)
+    loss = ag.cross_entropy(logits, [1])
+    assert abs(loss.item() - 800.0) <= 1e-9
+    loss.backward()
+    assert np.array_equal(logits.grad, [[1.0, -1.0, 0.0]])
 
 
 def test_masked_mse_value_grad_and_empty_mask():

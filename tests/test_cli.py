@@ -87,6 +87,17 @@ def test_non_finite_cells_exit_2(workdir, tmp_path, capsys, command):
     assert f"{bad}:6: column 2 (s2): non-finite value inf" in err
 
 
+def test_repeated_column_names_exit_2(workdir, tmp_path, capsys):
+    bad = tmp_path / "twice.csv"
+    text = (workdir / "gapped.csv").read_text().splitlines()
+    text[0] = "s1,s1"
+    bad.write_text("\n".join(text) + "\n")
+    assert main(["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "coordinate names must be distinct, repeated: ['s1']" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_non_numeric_cell_exits_2(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     text = (workdir / "gapped.csv").read_text().splitlines()
@@ -147,11 +158,23 @@ def _set_snippets_shape(shape):
     return edit
 
 
+def _set_names(names):
+    def edit(header):
+        header["config"]["names"] = names
+        return header
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda h: {**h, "format": 1}, "unsupported bundle format 1"),
     (_set_snippets_shape([1, 2, 16]), "bundle arrays do not match its config"),
     (_set_snippets_shape([2, 2, 17]), "bundle arrays do not match its config"),
-], ids=["format-1", "snippets-d-1", "snippets-m+1"])
+    (_set_names("xy"), "config names must be a list of strings, got 'xy'"),
+    (_set_names([1, 2]), "config names must be a list of strings, got [1, 2]"),
+    (_set_names([None, "a"]), "config names must be a list of strings, got [None, 'a']"),
+    (_set_names(["a", "a"]), "bundle names repeat a coordinate: ['a', 'a']"),
+], ids=["format-1", "snippets-d-1", "snippets-m+1", "names-str", "names-int",
+        "names-null", "names-repeated"])
 def test_malformed_bundle_exits_2_without_output(workdir, tmp_path, capsys, edit, message):
     rc, _ = _impute_with_header(workdir, tmp_path, edit)
     assert rc == 2

@@ -140,6 +140,15 @@ def test_series_rejects_non_finite_observed_cells():
         TimeSeries(values=np.array([[1.0, np.nan]]), mask=np.ones((1, 2), dtype=bool))
 
 
+def test_series_rejects_repeated_coordinate_names(tmp_path):
+    with pytest.raises(ValueError, match=r"names must be distinct, repeated: \['a'\]"):
+        TimeSeries.from_values([[1.0, 2.0, 3.0]], names=("a", "b", "a"))
+    path = tmp_path / "twice.csv"
+    path.write_text("a, a\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError, match="repeated"):
+        read_csv(path)
+
+
 def test_csv_rejects_non_numeric_cells(tmp_path):
     path = tmp_path / "text.csv"
     path.write_text("a,b\n1.0,2.0\nabc,4.0\n")

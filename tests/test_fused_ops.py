@@ -27,33 +27,29 @@ from saeti.autograd import Tensor, sigmoid, tanh
 
 
 def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
     c_out, c_in, kw = weight.data.shape
-    b, _, length = xd.shape
+    b, _, length = x.data.shape
     pad = kw // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
     patches = sliding_window_view(xp, kw, axis=2)          # (B, C_in, L, kw)
     cols = patches.transpose(0, 2, 1, 3).reshape(b * length, c_in * kw)
     w2 = weight.data.reshape(c_out, c_in * kw)
     y = (cols @ w2.T).reshape(b, length, c_out).transpose(0, 2, 1)
     y = y + bias.data[None, :, None]
-    out = ag._node(y[0] if squeeze else y, (x, weight, bias))
+    out = ag._node(y, (x, weight, bias))
     if out.requires_grad:
         def _bwd(g):
-            gb3 = g[None] if squeeze else g
-            g2 = gb3.transpose(0, 2, 1).reshape(b * length, c_out)
+            g2 = g.transpose(0, 2, 1).reshape(b * length, c_out)
             if weight.requires_grad:
                 weight._accumulate((g2.T @ cols).reshape(c_out, c_in, kw))
             if bias.requires_grad:
-                bias._accumulate(gb3.sum(axis=(0, 2)))
+                bias._accumulate(g.sum(axis=(0, 2)))
             if x.requires_grad:
                 gcols = (g2 @ w2).reshape(b, length, c_in, kw)
                 gxp = np.zeros_like(xp)
                 for t in range(kw):
                     gxp[:, :, t:t + length] += gcols[:, :, :, t].transpose(0, 2, 1)
-                gx = gxp[:, :, pad:pad + length]
-                x._accumulate(gx[0] if squeeze else gx)
+                x._accumulate(gxp[:, :, pad:pad + length])
         out._backward = _bwd
     return out
 
@@ -81,21 +77,18 @@ def _grads(tensors):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.integers(1, 4), st.integers(1, 4),
        st.sampled_from([1, 3, 5, 7]), st.integers(1, 9),
-       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, unbatched,
-                                      transposed, seed):
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, transposed, seed):
     rng = np.random.default_rng(seed)
-    if unbatched:
-        batch = 1
     shape = (batch, c_in, length)
     if transposed:  # a (B, L, C_in) array read through a transposed view
         data = rng.normal(size=(batch, length, c_in)).transpose(0, 2, 1)
     else:
         data = rng.normal(size=shape)
-    x = Tensor(data[0] if unbatched else data, requires_grad=True)
+    x = Tensor(data, requires_grad=True)
     w = Tensor(rng.normal(size=(c_out, c_in, kw)), requires_grad=True)
     b = Tensor(rng.normal(size=c_out), requires_grad=True)
-    probe = rng.normal(size=x.shape[:-2] + (c_out, length))
+    probe = rng.normal(size=(batch, c_out, length))
 
     results = []
     for op in (ag.conv1d, conv1d_im2col):
@@ -246,7 +239,7 @@ def test_conv1d_passes_every_dgemm_operand_without_a_copy(monkeypatch):
     rng = np.random.default_rng(2)
     for data, kw in ((rng.normal(size=(3, 4, 7)), 5),
                      (rng.normal(size=(2, 7, 4)).transpose(0, 2, 1), 3),
-                     (rng.normal(size=(4, 7)), 1)):
+                     (rng.normal(size=(1, 4, 7)), 1)):
         x = Tensor(data, requires_grad=True)
         w = Tensor(rng.normal(size=(6, 4, kw)), requires_grad=True)
         b = Tensor(rng.normal(size=6), requires_grad=True)

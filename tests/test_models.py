@@ -7,13 +7,13 @@ from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel, defa
 def test_recognizer_output_shape_and_rows():
     model = RecognizerModel(d=3, m=16, k=4, seed=1)
     x = np.random.default_rng(0).random((5, 3, 16))
-    probs = model.forward(x)
-    assert probs.shape == (5, 3, 4)
-    assert np.allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(probs.data >= 0)
+    logits = model.forward(x)
+    assert logits.shape == (5, 3, 4)
+    assert np.all(np.isfinite(logits.data))
     labels = model.predict(x)
     assert labels.shape == (5, 3)
     assert labels.min() >= 0 and labels.max() <= 3
+    assert np.array_equal(labels, np.argmax(logits.data, axis=-1))
 
 
 def test_recognizer_window_length_floor():

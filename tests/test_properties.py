@@ -6,7 +6,8 @@ windowing and write-back plumbing, which must hold whatever the models
 predict. The MPdist properties run on random walks with bit-identical
 repeated blocks, constant stretches and gaps. Saved bundles are mutated
 at random: the loader must reject them with ``ValueError`` or load a
-bundle that imputes deterministically.
+bundle that imputes deterministically. The fused cross-entropy matches
+scipy's log-sum-exp and ``softmax - onehot`` for random logits.
 """
 
 import functools
@@ -19,8 +20,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from conftest import two_regime_series
+from saeti.autograd import Tensor, cross_entropy
 from saeti.core_ts import (
     NormParams,
     TimeSeries,
@@ -283,3 +286,24 @@ def test_bundle_mutations_are_rejected_or_impute_deterministically(blob):
     first = impute(gapped, bundle)
     assert first.mask.all() and np.isfinite(first.values).all()
     assert impute(gapped, bundle).values.tobytes() == first.values.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(2, 6),
+       st.floats(0.0, 1e3), st.integers(0, 2**32 - 1))
+def test_cross_entropy_matches_logsumexp_and_softmax_gradient(lead, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(*lead, k)) * scale
+    target = rng.integers(0, k, size=lead)
+    x = Tensor(logits, requires_grad=True)
+    loss = cross_entropy(x, target)
+    loss.backward()
+    assert np.isfinite(loss.item()) and np.isfinite(x.grad).all()
+    picked = np.take_along_axis(logits, target[..., None], axis=-1)[..., 0]
+    # The oracle subtracts the picked logit from a log-sum-exp near the largest
+    # one, so near-zero rows carry its rounding of a few ulps of that logit.
+    ulps = 8 * np.finfo(float).eps * np.abs(logits).max() * target.size
+    np.testing.assert_allclose(loss.item(), (logsumexp(logits, axis=-1) - picked).sum(),
+                               rtol=1e-9, atol=ulps)
+    np.testing.assert_allclose(x.grad, softmax(logits, axis=-1) - np.eye(k)[target],
+                               rtol=0, atol=1e-12)

@@ -200,8 +200,8 @@ def test_early_stopping_restores_best(norm_and_sets):
         hide = mask_random_points(np.ones_like(val_x[i], dtype=bool),
                                   MASK_FRACTION, rng)
         val_x[i][hide] = MISSING_FILL
-    probs = model.forward(val_x)
-    val = cross_entropy(probs, y[val_idx]).item() / val_idx.shape[0]
+    logits = model.forward(val_x)
+    val = cross_entropy(logits, y[val_idx]).item() / val_idx.shape[0]
     assert abs(val - best) <= 1e-12
 
 
