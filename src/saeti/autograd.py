@@ -2,16 +2,21 @@
 
 A :class:`Tensor` wraps a numpy array and, when gradients are required,
 records a backward closure plus its parents so that ``backward()`` on a
-scalar loss can replay the chain rule over a topological ordering. Ops
-are deliberately coarse so graphs stay small and the heavy lifting runs
-inside BLAS. A convolution is one node that works time-major: one
-accumulating GEMM per tap over the zero-padded input rows; no column
-array. Its input gradient is the same routine run on the output gradient
-with the flipped, transposed kernel. A GRU over a whole sequence is one
-node: one GEMM projects every step, z and r share one recurrent product,
-and a hand-written backward through time fills the nine gate gradients.
-The classification loss is one node on logits: a max-shifted log-sum-exp
-forward and a ``softmax - onehot`` backward, finite for any finite logits.
+scalar loss can replay the chain rule over a topological ordering. Each
+op takes one input form and returns ``_node(result, parents, backward)``,
+which records the graph only when a gradient flows; values that only the
+backward reads are computed inside it. Ops are deliberately coarse so
+graphs stay small and the heavy lifting runs inside BLAS. A convolution
+is one node that works time-major: one accumulating GEMM per tap over the
+zero-padded input rows; no column array. Its input gradient is the same
+routine run on the output gradient with the flipped, transposed kernel.
+A GRU over a whole sequence is one node: it takes one time-major
+``(T, B, F)`` tensor and returns every hidden state as one ``(T, B, H)``
+tensor. One GEMM projects every step, z and r share one recurrent
+product, and a hand-written backward through time fills the nine gate
+gradients. The classification loss is one node on logits: a max-shifted
+log-sum-exp forward and a ``softmax - onehot`` backward, finite for any
+finite logits.
 
 Conventions baked in here:
 
@@ -120,8 +125,8 @@ class Tensor:
         return self.data.ndim
 
     def __len__(self) -> int:
-        # The first axis, as for arrays: a time-major (T, B, F) tensor is a
-        # sequence of T steps.
+        # The first axis, as for arrays: the time-major (T, B, F) input of
+        # gru_forward has T steps.
         return len(self.data)
 
     def item(self) -> float:
@@ -170,29 +175,23 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = _node(self.data + other.data, (self, other))
-        if out.requires_grad:
-            def _bwd(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.data.shape))
+        return _node(self.data + other.data, (self, other), _bwd)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = _node(self.data * other.data, (self, other))
-        if out.requires_grad:
-            def _bwd(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+        return _node(self.data * other.data, (self, other), _bwd)
 
     __rmul__ = __mul__
 
@@ -208,159 +207,113 @@ class Tensor:
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = _node(self.data ** p, (self,))
-        if out.requires_grad:
-            def _bwd(g):
-                self._accumulate(g * p * self.data ** (p - 1))
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            self._accumulate(g * p * self.data ** (p - 1))
+        return _node(self.data ** p, (self,), _bwd)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ValueError("matmul expects 2-D operands; reshape first")
-        out = _node(self.data @ other.data, (self, other))
-        if out.requires_grad:
-            def _bwd(g):
-                if self.requires_grad:
-                    self._accumulate(g @ other.data.T)
-                if other.requires_grad:
-                    other._accumulate(self.data.T @ g)
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            if self.requires_grad:
+                self._accumulate(g @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ g)
+        return _node(self.data @ other.data, (self, other), _bwd)
 
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = _node(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            src_shape = self.data.shape
-            def _bwd(g):
-                self._accumulate(g.reshape(src_shape))
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            self._accumulate(g.reshape(self.data.shape))
+        return _node(self.data.reshape(shape), (self,), _bwd)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        out = _node(self.data.transpose(axes) if axes else self.data.T, (self,))
-        if out.requires_grad:
-            inv = np.argsort(axes) if axes else None
-            def _bwd(g):
-                self._accumulate(g.transpose(inv) if inv is not None else g.T)
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            self._accumulate(g.transpose(np.argsort(axes)))
+        return _node(self.data.transpose(axes), (self,), _bwd)
 
     def __getitem__(self, idx):
-        out = _node(self.data[idx], (self,))
-        if out.requires_grad:
-            def _bwd(g):
-                full = np.zeros_like(self.data)
-                full[idx] = g
-                self._accumulate(full)
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            full = np.zeros_like(self.data)
+            full[idx] = g
+            self._accumulate(full)
+        return _node(self.data[idx], (self,), _bwd)
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            src_shape = self.data.shape
-            def _bwd(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, src_shape))
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape))
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bwd)
 
     # -- pointwise nonlinearities -------------------------------------------
 
     def exp(self):
-        out = _node(np.exp(self.data), (self,))
-        if out.requires_grad:
-            y = out.data
-            def _bwd(g):
-                self._accumulate(g * y)
-            out._backward = _bwd
-        return out
+        y = np.exp(self.data)
+        def _bwd(g):
+            self._accumulate(g * y)
+        return _node(y, (self,), _bwd)
 
     def log(self):
-        out = _node(np.log(self.data), (self,))
-        if out.requires_grad:
-            def _bwd(g):
-                self._accumulate(g / self.data)
-            out._backward = _bwd
-        return out
+        def _bwd(g):
+            self._accumulate(g / self.data)
+        return _node(np.log(self.data), (self,), _bwd)
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's result; it records ``parents`` and ``backward`` only when a gradient flows."""
     out = Tensor(data)
     out.requires_grad = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._prev = parents
+        out._backward = backward
     return out
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def _bwd(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(idx)])
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(idx)])
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bwd)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _node(np.maximum(x.data, 0.0), (x,))
-    if out.requires_grad:
-        keep = x.data > 0
-        def _bwd(g):
-            x._accumulate(g * keep)
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        x._accumulate(g * (x.data > 0))
+    return _node(np.maximum(x.data, 0.0), (x,), _bwd)
 
 
 def leaky_relu(x: Tensor) -> Tensor:
     # The factor is exactly 1 or LEAKY_SLOPE. Arithmetic on the mask runs
     # several times faster than np.where, and the backward keeps only the mask.
     keep = x.data > 0
-    out = _node(x.data * (keep + LEAKY_SLOPE * ~keep), (x,))
-    if out.requires_grad:
-        def _bwd(g):
-            x._accumulate(g * (keep + LEAKY_SLOPE * ~keep))
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        x._accumulate(g * (keep + LEAKY_SLOPE * ~keep))
+    return _node(x.data * (keep + LEAKY_SLOPE * ~keep), (x,), _bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = _node(expit(x.data), (x,))
-    if out.requires_grad:
-        y = out.data
-        def _bwd(g):
-            x._accumulate(g * y * (1.0 - y))
-        out._backward = _bwd
-    return out
+    y = expit(x.data)
+    def _bwd(g):
+        x._accumulate(g * y * (1.0 - y))
+    return _node(y, (x,), _bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = _node(np.tanh(x.data), (x,))
-    if out.requires_grad:
-        y = out.data
-        def _bwd(g):
-            x._accumulate(g * (1.0 - y * y))
-        out._backward = _bwd
-    return out
+    y = np.tanh(x.data)
+    def _bwd(g):
+        x._accumulate(g * (1.0 - y * y))
+    return _node(y, (x,), _bwd)
 
 
 def _pad_rows(xt: np.ndarray, pad: int) -> np.ndarray:
@@ -405,25 +358,22 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, kernel expects {c_in}")
     y, xp = _conv_time_major(x.data.transpose(0, 2, 1), weight.data)
     y += bias.data
-    out = _node(y.transpose(0, 2, 1), (x, weight, bias))
-    if out.requires_grad:
-        def _bwd(g):
-            gt = g.transpose(0, 2, 1)    # (B, L, C_out)
-            if x.requires_grad:
-                # Transposed convolution: the input gradient is the same-padded
-                # convolution of g with the flipped kernel, C_in and C_out swapped.
-                gx, gp = _conv_time_major(gt, weight.data.transpose(1, 0, 2)[:, :, ::-1])
-                x._accumulate(gx.transpose(0, 2, 1))
-            else:
-                gp = _pad_rows(gt, kw // 2)
-            if weight.requires_grad:    # output row r is padded gradient row r + pad
-                rows, pad = len(gp) - kw + 1, kw // 2
-                gw = np.stack([xp[t:t + rows].T @ gp[pad:pad + rows] for t in range(kw)])
-                weight._accumulate(gw.transpose(2, 1, 0))
-            if bias.requires_grad:
-                bias._accumulate(gp.sum(axis=0))
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        gt = g.transpose(0, 2, 1)    # (B, L, C_out)
+        if x.requires_grad:
+            # Transposed convolution: the input gradient is the same-padded
+            # convolution of g with the flipped kernel, C_in and C_out swapped.
+            gx, gp = _conv_time_major(gt, weight.data.transpose(1, 0, 2)[:, :, ::-1])
+            x._accumulate(gx.transpose(0, 2, 1))
+        else:
+            gp = _pad_rows(gt, kw // 2)
+        if weight.requires_grad:    # output row r is padded gradient row r + pad
+            rows, pad = len(gp) - kw + 1, kw // 2
+            gw = np.stack([xp[t:t + rows].T @ gp[pad:pad + rows] for t in range(kw)])
+            weight._accumulate(gw.transpose(2, 1, 0))
+        if bias.requires_grad:
+            bias._accumulate(gp.sum(axis=0))
+    return _node(y.transpose(0, 2, 1), (x, weight, bias), _bwd)
 
 
 def maxpool1d(x: Tensor) -> Tensor:
@@ -438,18 +388,15 @@ def maxpool1d(x: Tensor) -> Tensor:
     pooled = np.take_along_axis(main, idx[..., None], axis=-1)[..., 0]
     if length % 2:
         pooled = np.concatenate([pooled, x.data[..., -1:]], axis=-1)
-    out = _node(pooled, (x,))
-    if out.requires_grad:
-        def _bwd(g):
-            gx = np.zeros_like(x.data)
-            gmain = np.zeros(lead + (half, 2))
-            np.put_along_axis(gmain, idx[..., None], g[..., :half, None], axis=-1)
-            gx[..., :2 * half] = gmain.reshape(lead + (2 * half,))
-            if length % 2:
-                gx[..., -1] += g[..., -1]
-            x._accumulate(gx)
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        gx = np.zeros_like(x.data)
+        gmain = np.zeros(lead + (half, 2))
+        np.put_along_axis(gmain, idx[..., None], g[..., :half, None], axis=-1)
+        gx[..., :2 * half] = gmain.reshape(lead + (2 * half,))
+        if length % 2:
+            gx[..., -1] += g[..., -1]
+        x._accumulate(gx)
+    return _node(pooled, (x,), _bwd)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
@@ -471,15 +418,12 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     e = np.exp(shifted)
     total = e.sum(axis=1)
     index = (np.arange(len(shifted)), target.reshape(-1))
-    out = _node(np.array((np.log(total) - shifted[index]).sum()), (logits,))
-    if out.requires_grad:
-        def _bwd(g):
-            grad = e / total[:, None]
-            grad[index] -= 1.0
-            grad *= g
-            logits._accumulate(grad.reshape(logits.data.shape))
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        grad = e / total[:, None]
+        grad[index] -= 1.0
+        grad *= g
+        logits._accumulate(grad.reshape(logits.data.shape))
+    return _node(np.array((np.log(total) - shifted[index]).sum()), (logits,), _bwd)
 
 
 def masked_mse(pred: Tensor, target, weight_mask) -> Tensor:
@@ -497,12 +441,9 @@ def masked_mse(pred: Tensor, target, weight_mask) -> Tensor:
         warnings.warn("masked_mse: empty weight mask, returning 0", stacklevel=2)
         return (pred * 0.0).sum()
     diff = np.where(weight > 0, pred.data - target, 0.0)
-    out = _node(np.array((weight * diff * diff).sum() / count), (pred,))
-    if out.requires_grad:
-        def _bwd(g):
-            pred._accumulate(g * 2.0 * weight * diff / count)
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        pred._accumulate(g * 2.0 * weight * diff / count)
+    return _node(np.array((weight * diff * diff).sum() / count), (pred,), _bwd)
 
 
 class GRUParams:
@@ -531,12 +472,11 @@ class GRUParams:
         ]
 
 
-def gru_forward(xs, params: GRUParams) -> tuple[Tensor, Tensor]:
-    """Run a GRU over a sequence of (B, input_size) steps from a zero state.
+def gru_forward(xs: Tensor, params: GRUParams) -> Tensor:
+    """Run a GRU over a time-major (T, B, input_size) tensor from a zero state.
 
-    ``xs`` is a list of (B, input_size) tensors or one time-major
-    (T, B, input_size) tensor. Returns (states, final state): every hidden
-    state as one (T, B, hidden) tensor, and its last step. Recurrence:
+    Returns every hidden state as one (T, B, hidden) tensor; the final
+    state is its step ``[-1]``. Recurrence:
     ``z = sigm(x W_z + h U_z + b_z)``, ``r = sigm(x W_r + h U_r + b_r)``,
     ``cand = tanh(x W_h + (r*h) U_h + b_h)``, ``h' = (1 - z) * h + z * cand``.
 
@@ -544,12 +484,12 @@ def gru_forward(xs, params: GRUParams) -> tuple[Tensor, Tensor]:
     one ``(H, 2H)`` recurrent product per step, and the backward runs
     through time by hand.
     """
+    if not isinstance(xs, Tensor) or xs.data.ndim != 3:
+        got = xs.shape if isinstance(xs, Tensor) else type(xs).__name__
+        raise ValueError(f"gru_forward input must be one (T, B, F) tensor, got {got}")
     if len(xs) == 0:
         raise ValueError("empty sequence")
-    if isinstance(xs, Tensor):
-        x, inputs = xs.data, (xs,)
-    else:
-        x, inputs = np.stack([s.data for s in xs]), tuple(xs)
+    x = xs.data
     steps, batch, n_in = x.shape
     hid = params.hidden_size
     w = np.concatenate([params.w_z.data, params.w_r.data, params.w_h.data], axis=1)
@@ -571,38 +511,32 @@ def gru_forward(xs, params: GRUParams) -> tuple[Tensor, Tensor]:
         np.tanh(proj[t, :, 2 * hid:] + rh[t] @ u_h, out=cand[t])
         hs[t + 1] = (1.0 - z) * h + z * cand[t]
     gate_tensors = [t for _, t in params.tensors()]
-    out = _node(hs[1:], inputs + tuple(gate_tensors))
-    if out.requires_grad:
-        def _bwd(g):
-            dproj = np.empty((steps, batch, 3 * hid))
-            dh = np.zeros((batch, hid))
-            for t in reversed(range(steps)):
-                dh += g[t]
-                h, c = hs[t], cand[t]
-                z, r = zr[t, :, :hid], zr[t, :, hid:]
-                da_zr, da_h = dproj[t, :, :2 * hid], dproj[t, :, 2 * hid:]
-                np.multiply(dh * z, 1.0 - c * c, out=da_h)
-                drh = da_h @ u_h.T
-                np.multiply(dh * (c - h), z * (1.0 - z), out=da_zr[:, :hid])
-                np.multiply(drh * h, r * (1.0 - r), out=da_zr[:, hid:])
-                dh = dh * (1.0 - z) + drh * r + da_zr @ u_zr.T
-            flat = dproj.reshape(steps * batch, 3 * hid)
-            gw = np.split(x2.T @ flat, 3, axis=1)
-            gu = np.split(hs[:-1].reshape(steps * batch, hid).T @ flat[:, :2 * hid], 2, axis=1)
-            gu.append(rh.reshape(steps * batch, hid).T @ flat[:, 2 * hid:])
-            gb = np.split(flat.sum(axis=0), 3)
-            # params.tensors() lists w, u, b per gate.
-            grads = [grad for trio in zip(gw, gu, gb) for grad in trio]
-            for tensor, grad in zip(gate_tensors, grads):
-                if tensor.requires_grad:
-                    tensor._accumulate(grad)
-            if any(s.requires_grad for s in inputs):
-                dx = (flat @ w.T).reshape(steps, batch, n_in)
-                for s, ds in zip(inputs, [dx] if isinstance(xs, Tensor) else dx):
-                    if s.requires_grad:
-                        s._accumulate(ds)
-        out._backward = _bwd
-    return out, out[-1]
+    def _bwd(g):
+        dproj = np.empty((steps, batch, 3 * hid))
+        dh = np.zeros((batch, hid))
+        for t in reversed(range(steps)):
+            dh += g[t]
+            h, c = hs[t], cand[t]
+            z, r = zr[t, :, :hid], zr[t, :, hid:]
+            da_zr, da_h = dproj[t, :, :2 * hid], dproj[t, :, 2 * hid:]
+            np.multiply(dh * z, 1.0 - c * c, out=da_h)
+            drh = da_h @ u_h.T
+            np.multiply(dh * (c - h), z * (1.0 - z), out=da_zr[:, :hid])
+            np.multiply(drh * h, r * (1.0 - r), out=da_zr[:, hid:])
+            dh = dh * (1.0 - z) + drh * r + da_zr @ u_zr.T
+        flat = dproj.reshape(steps * batch, 3 * hid)
+        gw = np.split(x2.T @ flat, 3, axis=1)
+        gu = np.split(hs[:-1].reshape(steps * batch, hid).T @ flat[:, :2 * hid], 2, axis=1)
+        gu.append(rh.reshape(steps * batch, hid).T @ flat[:, 2 * hid:])
+        gb = np.split(flat.sum(axis=0), 3)
+        # params.tensors() lists w, u, b per gate.
+        grads = [grad for trio in zip(gw, gu, gb) for grad in trio]
+        for tensor, grad in zip(gate_tensors, grads):
+            if tensor.requires_grad:
+                tensor._accumulate(grad)
+        if xs.requires_grad:
+            xs._accumulate((flat @ w.T).reshape(steps, batch, n_in))
+    return _node(hs[1:], (xs, *gate_tensors), _bwd)
 
 
 def zero_grads(params: list[Tensor]) -> None:

@@ -90,7 +90,7 @@ def cmd_snippets(args: argparse.Namespace) -> None:
 def cmd_train(args: argparse.Namespace) -> None:
     ts = read_csv(args.input)
     config = TrainConfig(
-        m=args.m, k=args.k, ell=args.ell, latent=args.latent,
+        m=args.m, k=args.k, latent=args.latent,
         seed=args.seed, lr=args.lr, batch_size=args.batch_size,
         max_epochs=args.max_epochs, patience=args.patience,
     )
@@ -98,7 +98,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     RecognizerModel.check_sizes(ts.d, config.m, config.k)
     ReconstructorModel.latent_size(ts.d, config.m, config.latent)
     ts_norm, norm = minmax_normalize(ts)
-    sets = find_all_snippets(ts_norm, config.m, config.k, ell=config.ell)
+    sets = find_all_snippets(ts_norm, config.m, config.k, ell=args.ell)
     bundle, recog_history, recon_history = train_bundle(ts_norm, norm, sets, config)
     save_bundle(bundle, args.output)
 
@@ -197,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--latent", type=int, default=None,
                    help="bottleneck size (default d*m/4 rounded up)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--history", default=None,
                    help="loss CSV path (default <output>.history.csv)")
     p.set_defaults(func=cmd_train)

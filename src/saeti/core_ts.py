@@ -33,6 +33,12 @@ __all__ = [
 MIN_SEGMENT_LEN = 4  # shortest segment whose inner similarity window is >= 2
 
 
+def _check_distinct(names: tuple[str, ...], where: str = "") -> None:
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{where}coordinate names must be distinct, repeated: {repeated}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """An ``(n, d)`` real matrix with an observed-point mask.
@@ -68,9 +74,7 @@ class TimeSeries:
         )
         if len(names) != values.shape[1]:
             raise ValueError("one name per coordinate required")
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ValueError(f"coordinate names must be distinct, repeated: {repeated}")
+        _check_distinct(names)
         bad = mask & ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -233,6 +237,7 @@ def read_csv(path) -> TimeSeries:
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         names = tuple(name.strip() for name in header)
+        _check_distinct(names, f"{path}:1: ")
         rows = []
         linenos = []
         for lineno, row in enumerate(reader, start=2):

@@ -134,7 +134,7 @@ class RecognizerModel:
         h = Tensor(x)
         for conv in (self.conv1, self.conv2, self.conv3):
             h = maxpool1d(relu(conv1d(h, conv.weight, conv.bias)))
-        _, last = gru_forward(h.transpose(2, 0, 1), self.gru)
+        last = gru_forward(h.transpose(2, 0, 1), self.gru)[-1]
         feats = leaky_relu(last)
         logits = feats @ self.head.weight + self.head.bias
         return logits.reshape(x.shape[0], self.d, self.k)
@@ -233,7 +233,7 @@ class ReconstructorModel:
                 h = leaky_relu(conv1d(h, conv.weight, conv.bias))
             branches.append(h)             # (B, 32, m)
         merged = concat(branches, axis=1)  # (B, 32*d, m)
-        _, last = gru_forward(merged.transpose(2, 0, 1), self.enc_gru)
+        last = gru_forward(merged.transpose(2, 0, 1), self.enc_gru)[-1]
         return last @ self.to_latent.weight + self.to_latent.bias
 
     def decode(self, z: Tensor) -> Tensor:
@@ -243,7 +243,7 @@ class ReconstructorModel:
         batch = z.shape[0]
         seed = z @ self.from_latent.weight + self.from_latent.bias
         steps_in = seed.reshape(batch, self.m, self.m)   # m steps of m features
-        states, _ = gru_forward(steps_in.transpose(1, 0, 2), self.dec_gru)
+        states = gru_forward(steps_in.transpose(1, 0, 2), self.dec_gru)
         width = ENCODER_FILTERS[-1]
         # (B, 32*d, m): hidden state per step laid out as channels
         trace = states.transpose(1, 2, 0)

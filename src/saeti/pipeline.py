@@ -19,6 +19,7 @@ import numpy as np
 
 from .core_ts import TimeSeries, apply_normalization, denormalize, split_nonoverlapping
 from .models import infer, model_inputs
+from .scenarios import rmse
 from .training import ModelBundle, snippet_pairs
 
 __all__ = ["impute", "impute_report"]
@@ -84,15 +85,10 @@ def impute_report(
         scored = ~obs & truth.mask
         if not scored.any():
             raise ValueError("nothing to score: truth is missing at every gap")
-        diff = series.values[scored] - truth.values[scored]
         per = {}
         for j, name in enumerate(ts.names):
-            col = scored[:, j]
-            if col.any():
-                dj = series.values[col, j] - truth.values[col, j]
-                per[name] = float(np.sqrt(np.mean(dj * dj)))
-        report["rmse"] = {
-            "overall": float(np.sqrt(np.mean(diff * diff))),
-            "per_coordinate": per,
-        }
+            column = scored & (np.arange(ts.d) == j)
+            if column.any():
+                per[name] = rmse(series, truth, column)
+        report["rmse"] = {"overall": rmse(series, truth, scored), "per_coordinate": per}
     return series, report

@@ -54,7 +54,6 @@ class TrainConfig:
 
     m: int
     k: int
-    ell: int | None = None
     latent: int | None = None
     seed: int = 42
     lr: float = 1e-3
@@ -353,9 +352,15 @@ def train_bundle(
     """Train both models on an already normalized series.
 
     Returns the bundle plus the two training histories (classifier
-    first). Pass the snippet sets discovered on the same series.
+    first). Pass the snippet sets discovered on the same series: one per
+    coordinate, each with the config's m and k, all with one ell (the
+    bundle's), else ``ValueError`` before any training.
     """
     d = ts_norm.d
+    shapes = [(s.m, s.k, s.ell) for s in sets]
+    if len(sets) != d or any(shape != (config.m, config.k, sets[0].ell) for shape in shapes):
+        raise ValueError(f"snippet sets (m, k, ell) {shapes} do not match the config: "
+                         f"need {d} sets with m={config.m}, k={config.k} and one ell")
     recognizer = RecognizerModel(d, config.m, config.k, seed=config.seed)
     rx, ry = build_recognizer_dataset(ts_norm, sets, config.m)
     recog_history = train_recognizer(recognizer, rx, ry, config)

@@ -254,11 +254,14 @@ def test_a3_gradient_suite():
     gru = GRUParams(3, 4, rng)
     seq = [Tensor(rng.normal(size=(2, 3))) for _ in range(5)]
     gru_tensors = [p for _, p in gru.tensors()]
+
+    def steps(*xs):  # time-major (T, 2, 3) from (2, 3) steps
+        return concat([x.reshape(1, 2, 3) for x in xs], axis=0)
     checks.append(("gru", 1e-3, gru_tensors,
-                   lambda: (gru_forward(seq, gru)[1] ** 2).sum()))
+                   lambda: (gru_forward(steps(*seq), gru)[-1] ** 2).sum()))
     gi = t(2, 3)
     checks.append(("gru input", 1e-3, [gi],
-                   lambda: (gru_forward([seq[0], gi], gru)[1] ** 2).sum()))
+                   lambda: (gru_forward(steps(seq[0], gi), gru)[-1] ** 2).sum()))
 
     failures = []
     worst_all = 0.0

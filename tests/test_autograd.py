@@ -185,7 +185,7 @@ def test_gru_grads_and_empty_sequence():
     xs_data = [rng.normal(size=(2, 3)) for _ in range(5)]
 
     def loss_value():
-        _, h = ag.gru_forward([ag.Tensor(x) for x in xs_data], p)
+        h = ag.gru_forward(ag.Tensor(np.stack(xs_data)), p)[-1]
         return (h ** 2).sum()
 
     loss = loss_value()
@@ -196,7 +196,18 @@ def test_gru_grads_and_empty_sequence():
         num = numgrad(lambda: loss_value().item(), t.data)
         assert relerr(t.grad, num) <= 1e-4, name
     with pytest.raises(ValueError, match="empty sequence"):
-        ag.gru_forward([], p)
+        ag.gru_forward(ag.Tensor(np.zeros((0, 2, 3))), p)
+
+
+def test_gru_takes_only_a_time_major_tensor():
+    p = ag.GRUParams(3, 4, np.random.default_rng(0))
+    steps = [ag.Tensor(np.ones((2, 3))) for _ in range(4)]
+    with pytest.raises(ValueError, match=r"one \(T, B, F\) tensor, got list"):
+        ag.gru_forward(steps, p)
+    with pytest.raises(ValueError, match=r"one \(T, B, F\) tensor, got \(2, 3\)"):
+        ag.gru_forward(steps[0], p)
+    states = ag.gru_forward(ag.Tensor(np.ones((4, 2, 3))), p)
+    assert states.shape == (4, 2, 4)
 
 
 def test_backward_requires_scalar():

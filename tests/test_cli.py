@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti.cli import main
+from saeti.cli import build_parser, main
 from saeti.core_ts import TimeSeries, read_csv, write_csv
+from saeti.training import TrainConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,7 +96,8 @@ def test_repeated_column_names_exit_2(workdir, tmp_path, capsys):
     bad.write_text("\n".join(text) + "\n")
     assert main(["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
                  "--output", str(tmp_path / "out.csv")]) == 2
-    assert "coordinate names must be distinct, repeated: ['s1']" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}:1: coordinate names must be distinct, repeated: ['s1']" in err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -275,6 +278,16 @@ def test_rerun_is_byte_identical(workdir):
                  "--truth", str(workdir / "full.csv")]) == 0
     assert out2.read_bytes() == (workdir / "imputed.csv").read_bytes()
     assert rep2.read_bytes() == (workdir / "report.json").read_bytes()
+
+
+def test_train_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["train", "--input", "x.csv", "--output", "x.bundle",
+                                      "--m", "16", "--k", "2"])
+    fields = dataclasses.fields(TrainConfig)
+    assert len(fields) == 8
+    for field in fields:
+        expected = {"m": 16, "k": 2}.get(field.name, field.default)
+        assert getattr(args, field.name) == expected, field.name
 
 
 def test_missing_input_exits_2(tmp_path):

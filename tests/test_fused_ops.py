@@ -36,22 +36,20 @@ def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     w2 = weight.data.reshape(c_out, c_in * kw)
     y = (cols @ w2.T).reshape(b, length, c_out).transpose(0, 2, 1)
     y = y + bias.data[None, :, None]
-    out = ag._node(y, (x, weight, bias))
-    if out.requires_grad:
-        def _bwd(g):
-            g2 = g.transpose(0, 2, 1).reshape(b * length, c_out)
-            if weight.requires_grad:
-                weight._accumulate((g2.T @ cols).reshape(c_out, c_in, kw))
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2)))
-            if x.requires_grad:
-                gcols = (g2 @ w2).reshape(b, length, c_in, kw)
-                gxp = np.zeros_like(xp)
-                for t in range(kw):
-                    gxp[:, :, t:t + length] += gcols[:, :, :, t].transpose(0, 2, 1)
-                x._accumulate(gxp[:, :, pad:pad + length])
-        out._backward = _bwd
-    return out
+
+    def _bwd(g):
+        g2 = g.transpose(0, 2, 1).reshape(b * length, c_out)
+        if weight.requires_grad:
+            weight._accumulate((g2.T @ cols).reshape(c_out, c_in, kw))
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            gcols = (g2 @ w2).reshape(b, length, c_in, kw)
+            gxp = np.zeros_like(xp)
+            for t in range(kw):
+                gxp[:, :, t:t + length] += gcols[:, :, :, t].transpose(0, 2, 1)
+            x._accumulate(gxp[:, :, pad:pad + length])
+    return ag._node(y, (x, weight, bias), _bwd)
 
 
 def gru_graph(xs: list[Tensor], params: ag.GRUParams) -> tuple[list[Tensor], Tensor]:
@@ -105,7 +103,7 @@ def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, transposed
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 4),
-       st.sampled_from(["list", "time-major", "transposed"]),
+       st.sampled_from(["stacked", "time-major", "transposed"]),
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_gru_matches_per_step_graph(steps, batch, n_in, hidden, layout, every_state, seed):
     rng = np.random.default_rng(seed)
@@ -115,8 +113,8 @@ def test_gru_matches_per_step_graph(steps, batch, n_in, hidden, layout, every_st
             t.data[:] = rng.normal(size=hidden)
     seq = rng.normal(size=(steps, batch, n_in))
     xs = [Tensor(s, requires_grad=True) for s in seq]
-    if layout == "list":
-        new_input = xs
+    if layout == "stacked":  # the steps joined into one tensor, gradients reach each step
+        new_input = ag.concat([x.reshape(1, batch, n_in) for x in xs], axis=0)
     elif layout == "time-major":
         new_input = Tensor(seq.copy(), requires_grad=True)
     else:  # a (B, T, F) array read time-major through a transposed view
@@ -130,11 +128,12 @@ def test_gru_matches_per_step_graph(steps, batch, n_in, hidden, layout, every_st
         return (last * probe[-1]).sum()
 
     ag.zero_grads(gates + xs)
-    states, last = ag.gru_forward(new_input, params)
+    states = ag.gru_forward(new_input, params)
+    last = states[-1]
     assert states.shape == (steps, batch, hidden) and last.shape == (batch, hidden)
     loss_of(states, last).backward()
     new_gates = _grads(gates)
-    new_x = np.stack(_grads(xs)) if layout == "list" else _grads([new_input])[0]
+    new_x = np.stack(_grads(xs)) if layout == "stacked" else _grads([new_input])[0]
 
     ag.zero_grads(gates + xs)
     old_states, old_last = gru_graph(xs, params)
@@ -156,7 +155,8 @@ def test_empty_batch_runs_through_both_ops():
     y = ag.conv1d(x, w, b)
     assert y.shape == (0, 2, 6)
     params = ag.GRUParams(2, 4, rng)
-    states, last = ag.gru_forward(y.transpose(2, 0, 1), params)
+    states = ag.gru_forward(y.transpose(2, 0, 1), params)
+    last = states[-1]
     assert states.shape == (6, 0, 4) and last.shape == (0, 4)
     (last * 1.0).sum().backward()
     assert np.array_equal(w.grad, np.zeros_like(w.data))

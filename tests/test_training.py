@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti import autograd, models
+from saeti import autograd, models, training
 from saeti.autograd import no_grad
 from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
@@ -226,6 +227,23 @@ def test_train_bundle_and_roundtrip(tmp_path, norm_and_sets):
     path2 = tmp_path / "again.bundle"
     save_bundle(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("edit, config", [
+    (lambda sets: sets, TrainConfig(m=16, k=3)),
+    (lambda sets: sets, TrainConfig(m=32, k=2)),
+    (lambda sets: sets[:1], TrainConfig(m=16, k=2)),
+    (lambda sets: [sets[0], dataclasses.replace(sets[1], ell=7)], TrainConfig(m=16, k=2)),
+], ids=["k", "m", "one-set-short", "two-ells"])
+def test_train_bundle_rejects_sets_that_differ_from_the_config(norm_and_sets, monkeypatch,
+                                                               edit, config):
+    ts_norm, norm, sets = norm_and_sets
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(training, "train_recognizer", no_training)
+    with pytest.raises(ValueError, match="do not match the config"):
+        train_bundle(ts_norm, norm, edit(sets), config)
 
 
 def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatch):
