@@ -23,6 +23,7 @@ near zero, so identical windows still score exactly 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +45,8 @@ __all__ = [
 # The product form's absolute error is a few ulp of 2 * ell, so squared
 # distances below this are recomputed by explicit differences.
 _EXACT_SQ_DIST = 1e-6
-# Entries per segment chunk of the product (4 MB; small keeps it in cache).
+# Entries per segment chunk of the product. Its row count fixes the GEMM's
+# bits: another value changes ProfileMatrix.dist and the snippet JSON.
 _CHUNK_ENTRIES = 1 << 19
 
 
@@ -126,12 +128,6 @@ def znorm_dist_profile(query: np.ndarray, target: np.ndarray, ell: int) -> np.nd
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _kth_smallest(pool: np.ndarray, k: int) -> float:
-    """1-based k-th smallest, clamped to the maximum when k exceeds the pool."""
-    k = min(k, pool.shape[0])
-    return float(np.partition(pool, k - 1)[k - 1])
-
-
 def mpdist(a: np.ndarray, b: np.ndarray, ell: int | None = None) -> float:
     """MPdist between two equal-length gap-free windows."""
     a = _check_clean(a, "first window")
@@ -146,8 +142,8 @@ def mpdist(a: np.ndarray, b: np.ndarray, ell: int | None = None) -> float:
     diff = za[:, None, :] - zb[None, :, :]
     table = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     pool = np.concatenate([table.min(axis=1), table.min(axis=0)])
-    k = math.ceil(0.05 * (a.shape[0] + b.shape[0]))
-    return _kth_smallest(pool, k)
+    k = min(math.ceil(0.05 * (a.shape[0] + b.shape[0])), pool.shape[0])  # 1-based
+    return float(np.partition(pool, k - 1)[k - 1])
 
 
 def _sliding_min(rows: np.ndarray, width: int) -> np.ndarray:
@@ -167,21 +163,63 @@ def _sliding_min(rows: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _kth_smallest_of(vectors, k: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Elementwise 1-based k-th smallest over at least k arrays of ``shape``.
+def _smallest(a: list, b: list, t: int) -> list:
+    """The t smallest of sorted ``a`` and ``b``: ``min(a[i], b[t-1-i])``, +inf if missing."""
+    return [a[i] if t - 1 - i >= len(b) else b[t - 1 - i] if i >= len(a)
+            else np.minimum(a[i], b[t - 1 - i]) for i in range(t)]
 
-    Keeps the k smallest values seen so far, sorted, and inserts each
-    array with one min/max pair per level: exactly the element a full
-    sort of the pooled values would put at position k.
+
+def _merge(a: list, b: list, k: int) -> list:
+    """Sorted k smallest of sorted lists ``a`` and ``b``: a bitonic merger of the
+    rising-then-falling t smallest, padded with -inf (None) slots that cost no
+    call. It overwrites only arrays it made."""
+    t = min(len(a) + len(b), k)
+    size = 1 << (t - 1).bit_length()
+    low = _smallest(a, b, t) + [None] * (size - t)
+    made, spare = [i < len(a) and t - 1 - i < len(b) for i in range(size)], None
+    for half in [size >> s for s in range(1, size.bit_length())]:
+        for i in (i for i in range(size) if not i & half):
+            x, y = low[i], low[i + half]
+            if x is None or y is None:  # against -inf the other value moves up
+                low[i], low[i + half] = None, y if x is None else x
+            elif made[i] and made[i + half]:  # the max into y, the min into a spare
+                low[i], spare = np.minimum(x, y, out=spare), x
+                np.maximum(x, y, out=y)
+            else:
+                low[i], low[i + half] = np.minimum(x, y), np.maximum(x, y)
+                made[i] = made[i + half] = True
+    return low[size - t:]
+
+
+def _pooled_kth(d2: np.ndarray, k: int) -> np.ndarray:
+    """1-based k-th smallest of the pooled profiles of a ``(R, width, n_win)`` chunk.
+
+    The pool at start i holds ``min_j d2[:, j, i + w]`` for each w and
+    ``min(d2[:, j, i:i + width])`` for each j. Each half is kept as its sorted
+    k smallest: row j's sliding minima are inserted a row at a time, and lists
+    of the column minima over 1, 2, 4, ... positions join along width's bits.
     """
-    low = [np.full(shape, np.inf) for _ in range(k)]
-    for v in vectors:
-        for level in low[:-1]:
-            hi = np.maximum(level, v)
-            np.minimum(level, v, out=level)
-            v = hi
-        np.minimum(low[-1], v, out=low[-1])
-    return low[-1]
+    width = d2.shape[1]
+    n_sub = d2.shape[2] - width + 1
+    seg = [_sliding_min(d2[:, 0], width).copy()]
+    hi = np.empty_like(seg[0])
+    for j in range(1, width):
+        v = _sliding_min(d2[:, j], width)
+        held = len(seg)
+        if held < k:  # the list grows by its new largest value
+            seg.append(np.maximum(seg[-1], v))
+        for i in range(held - 1, 0, -1):  # top down, in place: min(l_i, max(l_{i-1}, v))
+            np.minimum(seg[i], np.maximum(seg[i - 1], v, out=hi), out=seg[i])
+        np.minimum(seg[0], v, out=seg[0])
+    level, offset, sub = [d2.min(axis=1)], 0, []
+    for span in [1 << b for b in range(width.bit_length())]:
+        if width & span:
+            piece = [x[:, offset:offset + n_sub] for x in level]
+            sub = _merge(sub, piece, k) if sub else piece
+            offset += span
+        if 2 * span <= width:
+            level = _merge([x[:, :-span] for x in level], [x[:, span:] for x in level], k)
+    return functools.reduce(np.maximum, _smallest(sub, seg, k))
 
 
 def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) -> ProfileMatrix:
@@ -203,12 +241,9 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     chunk's product (``np.unique`` ids), and identical segments share one
     result row, so bit-identical segments get bit-identical rows.
 
-    Per segment, the pooled cross profile for every subsequence start is
-    assembled from column minima (subsequence windows against the segment)
-    and per-row sliding minima (segment windows against the subsequence),
-    then reduced to its k-th smallest element by min/max insertion. All
-    reductions run on squared distances; the square root, being monotone,
-    is taken once per result entry.
+    Per segment, ``_pooled_kth`` takes the k-th smallest of the pooled cross
+    profile of every subsequence start. All reductions run on squared
+    distances; the square root, being monotone, is taken once per entry.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -219,7 +254,6 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     ell = _inner_window(ell, m)
 
     n_seg = n // m
-    n_sub = n - m + 1
     width = m - ell + 1  # inner windows per length-m window
     k = min(math.ceil(0.05 * (2 * m)), 2 * width)
 
@@ -244,6 +278,7 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     repeats = cols.shape[0] < n_win
     zc = zt[cols]
     sq = np.einsum("ij,ij->i", zc, zc)
+    zm2 = -2.0 * zc  # exact: the product below equals -2 * (zc[rows] @ zc.T)
 
     # Segments made of the same window columns share one result row.
     seg_cols = col_of[kept_segments[:, None] * m + np.arange(width)]
@@ -252,8 +287,7 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     chunk = max(1, _CHUNK_ENTRIES // (width * n_win))
     for lo in range(0, uniq_segs.shape[0], chunk):
         rows, row_of = np.unique(uniq_segs[lo:lo + chunk], return_inverse=True)
-        d2 = zc[rows] @ zc.T
-        d2 *= -2.0
+        d2 = zc[rows] @ zm2.T
         d2 += sq[rows, None]
         d2 += sq
         near_r, near_c = np.divmod(np.flatnonzero(d2 < _EXACT_SQ_DIST), d2.shape[1])
@@ -262,11 +296,7 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
         if repeats:
             d2 = d2[np.ix_(row_of.reshape(-1), col_of)]
 
-        d2 = d2.reshape(-1, width, n_win)
-        col_min = d2.min(axis=1)  # best segment window per position
-        pool = [col_min[:, j:j + n_sub] for j in range(width)]
-        pool += list(_sliding_min(d2, width).transpose(1, 0, 2))
-        kth = _kth_smallest_of(pool, k, (col_min.shape[0], n_sub))
+        kth = _pooled_kth(d2.reshape(-1, width, n_win), k)
         dist[lo:lo + chunk] = np.sqrt(kth[:, kept_subs])
 
     if repeats:

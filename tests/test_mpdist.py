@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import minimum_filter1d
 
@@ -150,6 +152,23 @@ def test_profile_matrix_self_column_is_zero():
     for row, seg in enumerate(pm.segment_indices):
         col = np.where(pm.subseq_starts == (seg - 1) * 12 + 1)[0][0]
         assert pm.dist[row, col] == 0.0
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 20), st.integers(1, 3), st.integers(1, 12),
+       st.sampled_from([0.0, 0.2, 0.6]), st.integers(0, 2**32 - 1))
+def test_pooled_kth_equals_partition_of_the_explicit_pool(width, rows, n_sub, inf_share, seed):
+    """Every k from 1 to 2 * width, on few distinct values (many ties) and +inf."""
+    rng = np.random.default_rng(seed)
+    d2 = rng.choice([0.0, 0.25, 1.0, 2.0, 3.5], size=(rows, width, n_sub + width - 1))
+    d2[rng.random(d2.shape) < inf_share] = np.inf
+    subseq_half = sliding_window_view(d2.min(axis=1), width, axis=1)
+    segment_half = sliding_window_view(d2, width, axis=2).min(axis=3).transpose(0, 2, 1)
+    pool = np.concatenate([subseq_half, segment_half], axis=2)
+    assert pool.shape == (rows, n_sub, 2 * width)
+    for k in range(1, 2 * width + 1):
+        want = np.partition(pool, k - 1, axis=2)[..., k - 1]
+        assert np.array_equal(MPDIST._pooled_kth(d2, k), want), k
 
 
 def test_profile_matrix_excludes_gapped_rows_and_columns():

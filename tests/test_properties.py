@@ -169,6 +169,39 @@ def test_profile_matrix_matches_direct_mpdist_and_repeats(case):
                 assert pm.dist[r1].tobytes() == pm.dist[r2].tobytes()
 
 
+@st.composite
+def odd_rank_series(draw):
+    """A random walk with one repeated block, for selection ranks k = 1..5.
+
+    Returns ``(values, m, ell)``. m in {24, 30, 48} gives k = 3, 3, 5 at
+    the default ell; an ell near m leaves width = m - ell + 1 below k
+    (m=8, ell=8 is width 1).
+    """
+    m = draw(st.sampled_from([8, 24, 30, 48]))
+    ell = draw(st.sampled_from([None, m - 2, m - 1, m]))
+    n = draw(st.integers(2 * m, 5 * m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.cumsum(rng.normal(size=n))
+    length = draw(st.integers(m // 2, 2 * m))
+    src, dst = draw(st.integers(0, n - length)), draw(st.integers(0, n - length))
+    x[dst:dst + length] = x[src:src + length].copy()
+    return x, m, ell
+
+
+@settings(deadline=None, max_examples=60)
+@given(odd_rank_series())
+def test_profile_matrix_matches_direct_mpdist_at_odd_ranks_and_narrow_widths(case):
+    x, m, ell = case
+    pm = mpdist_profile_matrix(x, m, ell)
+    for row, seg in enumerate(pm.segment_indices):
+        seg_vals = x[(seg - 1) * m:seg * m]
+        for col, start in enumerate(pm.subseq_starts):
+            direct = mpdist(seg_vals, x[start - 1:start - 1 + m], pm.ell)
+            assert abs(pm.dist[row, col] - direct) <= 1e-9
+        aligned = np.flatnonzero(pm.subseq_starts == (seg - 1) * m + 1)[0]
+        assert pm.dist[row, aligned] == 0.0
+
+
 @settings(deadline=None, max_examples=200)
 @given(repeated_block_series(), st.integers(0, 2**32 - 1))
 def test_mpdist_is_symmetric_and_zero_on_self(case, seed):
