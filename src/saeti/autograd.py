@@ -382,17 +382,15 @@ def maxpool1d(x: Tensor) -> Tensor:
     if length < 1:
         raise ValueError("cannot pool an empty axis")
     half = length // 2
-    lead = x.data.shape[:-1]
-    main = x.data[..., :2 * half].reshape(lead + (half, 2))
-    idx = np.argmax(main, axis=-1)            # first max on ties
-    pooled = np.take_along_axis(main, idx[..., None], axis=-1)[..., 0]
+    a, b = x.data[..., 0:2 * half:2], x.data[..., 1:2 * half:2]
+    first = a >= b                            # a tie sends the gradient to a
+    pooled = np.maximum(a, b)
     if length % 2:
         pooled = np.concatenate([pooled, x.data[..., -1:]], axis=-1)
     def _bwd(g):
         gx = np.zeros_like(x.data)
-        gmain = np.zeros(lead + (half, 2))
-        np.put_along_axis(gmain, idx[..., None], g[..., :half, None], axis=-1)
-        gx[..., :2 * half] = gmain.reshape(lead + (2 * half,))
+        gx[..., 0:2 * half:2] = np.where(first, g[..., :half], 0.0)
+        gx[..., 1:2 * half:2] = np.where(first, 0.0, g[..., :half])
         if length % 2:
             gx[..., -1] += g[..., -1]
         x._accumulate(gx)

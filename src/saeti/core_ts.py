@@ -12,7 +12,6 @@ CSVs) are 1-based; internal array indexing is 0-based.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -226,8 +225,12 @@ def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray
     return starts, ts.values[index], ts.mask[index]
 
 
-# CSV interchange: header row of coordinate names, one row per time step,
-# missing points as empty cells (accepted on input: empty or "nan", any case).
+# CSV interchange: a header row of coordinate names, then one row per time
+# step; blank lines are skipped. A cell is stripped of surrounding whitespace;
+# then an empty cell, or one that float() reads as NaN, is missing, and
+# float() parses every other cell. Observed values are written with repr, so
+# they read back bit-exact. Missing cells are written empty; csv quotes a
+# row's only cell as '""' so that a one-column gap is not a blank line.
 
 def read_csv(path) -> TimeSeries:
     with open(path, newline="") as fh:
@@ -238,45 +241,50 @@ def read_csv(path) -> TimeSeries:
             raise ValueError(f"{path}: empty CSV") from None
         names = tuple(name.strip() for name in header)
         _check_distinct(names, f"{path}:1: ")
-        rows = []
-        linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(names)} cells, got {len(row)}"
-                )
-            parsed = []
-            for j, cell in enumerate(row):
-                cell = cell.strip()
-                if cell == "" or cell.lower() == "nan":
-                    parsed.append(math.nan)
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
-                                     f"not a number: {cell!r}") from None
-            rows.append(parsed)
-            linenos.append(lineno)
-    if not rows:
+        rows = []  # rows[i] is line i + 2; a blank line is []
+        try:
+            rows.extend(reader)
+        except csv.Error:
+            _raise_first_fault(path, names, rows)  # a fault on an earlier line comes first
+            raise
+    data = [row for row in rows if row]
+    cells = [cell.strip() or "nan" for row in data for cell in row]
+    try:
+        if set(map(len, data)) - {len(names)}:
+            raise ValueError("ragged rows")
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        _raise_first_fault(path, names, rows)
+        raise
+    if not data:
         raise ValueError(f"{path}: no data rows")
-    values = np.array(rows, dtype=float)
+    values = values.reshape(len(data), len(names))
     infinite = np.isinf(values)
     if infinite.any():
         i, j = np.argwhere(infinite)[0]
-        raise ValueError(f"{path}:{linenos[i]}: column {j + 1} ({names[j]}): "
+        lineno = [k for k, row in enumerate(rows, start=2) if row][i]
+        raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
                          f"non-finite value {float(values[i, j])!r}")
     return TimeSeries.from_values(values, names=names)
 
 
+def _raise_first_fault(path, names: tuple[str, ...], rows: list[list[str]]) -> None:
+    """Raise for the first ragged row or unparseable cell of ``rows``, if any."""
+    for lineno, row in enumerate(rows, start=2):
+        if row and len(row) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} cells, got {len(row)}")
+        for j, cell in enumerate(row):
+            try:
+                float(cell.strip() or "nan")
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
+                                 f"not a number: {cell.strip()!r}") from None
+
+
 def write_csv(ts: TimeSeries, path) -> None:
+    cells = np.array(list(map(repr, ts.values.ravel().tolist())), dtype=object)
+    cells[~ts.mask.ravel()] = '""' if ts.d == 1 else ""
+    rows = cells.reshape(ts.values.shape).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ts.names)
-        for i in range(ts.n):
-            writer.writerow([
-                repr(float(ts.values[i, j])) if ts.mask[i, j] else ""
-                for j in range(ts.d)
-            ])
+        csv.writer(fh, lineterminator="\n").writerow(ts.names)
+        fh.write("".join(",".join(row) + "\n" for row in rows))

@@ -142,6 +142,32 @@ def test_maxpool_even_odd_and_tie():
     check_grads(lambda a: (ag.maxpool1d(a) ** 2).sum(), [rng.normal(size=(2, 3, 7))])
 
 
+
+def test_maxpool_matches_the_argmax_formulation_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for shape in [(3, 8), (3, 7), (2, 3, 8), (2, 3, 9), (4, 1), (2, 5, 2)]:
+        x = rng.normal(size=shape)
+        tie = rng.random(x[..., 1::2].shape) < 0.3
+        x[..., 1::2][tie] = x[..., 0::2][..., :tie.shape[-1]][tie]
+        half = shape[-1] // 2
+        main = x[..., :2 * half].reshape(shape[:-1] + (half, 2))
+        idx = np.argmax(main, axis=-1)
+        want = np.take_along_axis(main, idx[..., None], axis=-1)[..., 0]
+        if shape[-1] % 2:
+            want = np.concatenate([want, x[..., -1:]], axis=-1)
+        g = rng.normal(size=want.shape)
+        gmain = np.zeros(main.shape)
+        np.put_along_axis(gmain, idx[..., None], g[..., :half, None], axis=-1)
+        want_grad = np.zeros(shape)
+        want_grad[..., :2 * half] = gmain.reshape(shape[:-1] + (2 * half,))
+        if shape[-1] % 2:
+            want_grad[..., -1] = g[..., -1]
+        t = ag.Tensor(x, requires_grad=True)
+        out = ag.maxpool1d(t)
+        (out * ag.Tensor(g)).sum().backward()
+        assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64)), shape
+        assert np.array_equal(t.grad.view(np.uint64), want_grad.view(np.uint64)), shape
+
 def test_cross_entropy_hand_value_and_grad():
     logits = ag.Tensor(np.array([[3.0, 3.0]]))
     assert abs(ag.cross_entropy(logits, [0]).item() - np.log(2.0)) <= 1e-15

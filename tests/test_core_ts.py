@@ -1,5 +1,12 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saeti.core_ts import (
     NormParams,
@@ -117,6 +124,92 @@ def test_csv_roundtrip_exact(tmp_path):
     obs = ts.mask
     # repr-based writing keeps every float bit-exact
     assert np.array_equal(back.values[obs], ts.values[obs])
+
+
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308 / 7, -0.0, 0.0, 1e16, 1e-5,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def csv_series(draw):
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n * d, max_size=n * d))
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d)
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
+                                           st.sampled_from(EDGE_FLOATS)), max_size=6)):
+        values[i, j] = v
+    observed = draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))
+    mask = np.array(observed).reshape(n, d) & np.isfinite(values)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        mask[i] = False
+    first = draw(st.sampled_from(["a,b", 'say "x"', "plain"]))
+    return TimeSeries(values=values, mask=mask, names=(first,) + tuple(f"c{j}" for j in range(1, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_series())
+def test_write_csv_bytes_match_a_per_cell_csv_writer_and_read_back_bit_exact(ts):
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(ts.names)
+    for i in range(ts.n):
+        writer.writerow([repr(float(ts.values[i, j])) if ts.mask[i, j] else ""
+                         for j in range(ts.d)])
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "x.csv"
+        write_csv(ts, path)
+        assert path.read_bytes() == want.getvalue().encode()
+        back = read_csv(path)
+    assert back.names == ts.names
+    assert np.array_equal(back.mask, ts.mask)
+    assert np.array_equal(back.values[ts.mask].view(np.uint64),
+                          ts.values[ts.mask].view(np.uint64))
+
+
+def test_csv_cells_follow_the_float_grammar_after_stripping(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text("a,b,c\n  ,NaN,-nan\n\n 1.5 ,1_0,\t-2e-3 \n")
+    ts = read_csv(path)
+    assert ts.mask.tolist() == [[False, False, False], [True, True, True]]
+    assert ts.values[1].tolist() == [1.5, 10.0, -0.002]
+
+
+def read_error(tmp_path, text) -> str:
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    return str(info.value).replace(str(path), "bad.csv")
+
+
+def test_csv_names_the_first_fault_in_file_order(tmp_path):
+    # Blank lines are skipped but still count toward line numbers.
+    assert read_error(tmp_path, "a,b\n1,2\n\n\n3, x1 \n") == \
+        "bad.csv:5: column 2 (b): not a number: 'x1'"
+    assert read_error(tmp_path, "a,b\n1,2\nz,2\n1,2\n3\n") == \
+        "bad.csv:3: column 1 (a): not a number: 'z'"
+    assert read_error(tmp_path, "a,b\n1,2\n3\n1,2\nz,2\n") == \
+        "bad.csv:3: expected 2 cells, got 1"
+    assert read_error(tmp_path, "a,b\n1,2\n4,5,6\n") == \
+        "bad.csv:3: expected 2 cells, got 3"
+    # An infinite cell is reported only when no row has a parse fault.
+    assert read_error(tmp_path, "a,b\nx,1\n2,inf\n") == \
+        "bad.csv:2: column 1 (a): not a number: 'x'"
+    assert read_error(tmp_path, "a,b\ninf,1\n2,x\n") == \
+        "bad.csv:3: column 2 (b): not a number: 'x'"
+    assert read_error(tmp_path, "a,b\ninf,1\n2\n") == \
+        "bad.csv:3: expected 2 cells, got 1"
+    assert read_error(tmp_path, "a,b\n1,2\n\n3,-inf\n+inf,4\n") == \
+        "bad.csv:4: column 2 (b): non-finite value -inf"
+    # A cell fault comes before a csv error (an over-long field) on a later line.
+    huge = "x" * (csv.field_size_limit() + 1)
+    assert read_error(tmp_path, f"a\n1\nz\n{huge}\n") == \
+        "bad.csv:3: column 1 (a): not a number: 'z'"
+    (tmp_path / "huge.csv").write_text(f"a\n1\n{huge}\nz\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        read_csv(tmp_path / "huge.csv")
+    assert read_error(tmp_path, "a,b\n\n\n") == "bad.csv: no data rows"
+    assert read_error(tmp_path, "") == "bad.csv: empty CSV"
 
 
 def test_csv_rejects_ragged_rows(tmp_path):
