@@ -388,11 +388,16 @@ def maxpool1d(x: Tensor) -> Tensor:
     if length % 2:
         pooled = np.concatenate([pooled, x.data[..., -1:]], axis=-1)
     def _bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[..., 0:2 * half:2] = np.where(first, g[..., :half], 0.0)
-        gx[..., 1:2 * half:2] = np.where(first, 0.0, g[..., :half])
+        # Each half is written once, on the bits: a pair's gradient goes to
+        # the side ``first`` picks and +0.0 (all bits clear) to the other,
+        # so a = g * first and b = g ^ a in integer arithmetic.
+        gx = np.empty_like(x.data)
+        bits = g[..., :half].view(np.uint64)
+        even = gx[..., 0:2 * half:2].view(np.uint64)
+        np.multiply(bits, first, out=even)
+        np.bitwise_xor(bits, even, out=gx[..., 1:2 * half:2].view(np.uint64))
         if length % 2:
-            gx[..., -1] += g[..., -1]
+            np.add(g[..., -1], 0.0, out=gx[..., -1])
         x._accumulate(gx)
     return _node(pooled, (x,), _bwd)
 

@@ -239,14 +239,16 @@ def read_csv(path) -> TimeSeries:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
+        except csv.Error as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
         names = tuple(name.strip() for name in header)
         _check_distinct(names, f"{path}:1: ")
         rows = []  # rows[i] is line i + 2; a blank line is []
         try:
             rows.extend(reader)
-        except csv.Error:
+        except csv.Error as err:
             _raise_first_fault(path, names, rows)  # a fault on an earlier line comes first
-            raise
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     data = [row for row in rows if row]
     cells = [cell.strip() or "nan" for row in data for cell in row]
     try:

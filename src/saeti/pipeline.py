@@ -10,7 +10,9 @@ a gradient graph. Model predictions land only in missing cells;
 observed cells of the output are the input values, bit for bit.
 Predictions are written in window order and overlapping tail coverage
 follows first-writer-wins, so each missing cell is predicted exactly
-once.
+once. The cells each window will write are known before the models
+run, and the reconstructor decodes a window's coordinate only where
+that window writes a cell of it.
 """
 
 from __future__ import annotations
@@ -50,14 +52,18 @@ def impute_report(
     # Model inputs are clamped to the training range; output plumbing
     # keeps the unclamped normalized values.
     x = model_inputs(windows[gap], window_mask[gap])
-    labels = infer(bundle.recognizer.predict, x)
-    pred = infer(bundle.reconstructor.forward, snippet_pairs(x, labels, bundle.snippets))
-    filled = norm.values.copy()
+    # The (m, d) cells each gap window writes: still missing and unwritten.
+    writes = np.empty((gap_starts.shape[0], m, ts.d), dtype=bool)
     open_ = ~obs
-    for s0, window in zip(gap_starts, pred):
-        slot = open_[s0:s0 + m]   # (m, d) view: still missing and unwritten
+    for g, s0 in enumerate(gap_starts):
+        writes[g] = open_[s0:s0 + m]
+        open_[s0:s0 + m] = False
+    labels = infer(bundle.recognizer.predict, x)
+    pred = infer(bundle.reconstructor.forward, snippet_pairs(x, labels, bundle.snippets),
+                 writes.any(axis=1))
+    filled = norm.values.copy()
+    for s0, window, slot in zip(gap_starts, pred, writes):
         filled[s0:s0 + m][slot] = window.T[slot]
-        slot[:] = False
 
     denormed = denormalize(
         TimeSeries(values=filled, mask=np.ones_like(obs), names=ts.names),

@@ -113,6 +113,24 @@ def test_non_numeric_cell_exits_2(workdir, tmp_path, capsys):
     assert f"{bad}:6: column 2 (s2): not a number: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [1, 3])
+@pytest.mark.parametrize("command", ["impute", "train"])
+def test_over_long_cell_exits_2_with_file_and_line(workdir, tmp_path, capsys, command, line):
+    bad = tmp_path / "long.csv"
+    text = (workdir / "gapped.csv").read_text().splitlines()
+    text[line - 1] = "1" * 200_000
+    bad.write_text("\n".join(text) + "\n")
+    if command == "impute":
+        args = ["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
+                "--output", str(tmp_path / "out.csv")]
+    else:
+        args = ["train", "--input", str(bad), "--output", str(tmp_path / "out.csv"),
+                "--m", "16", "--k", "2", "--max-epochs", "1"]
+    assert main(args) == 2
+    assert f"{bad}:{line}: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _split_bundle(workdir):
     """The workdir bundle as (header dict, header end offset, whole file)."""
     blob = (workdir / "model.bundle").read_bytes()

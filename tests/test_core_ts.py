@@ -206,8 +206,10 @@ def test_csv_names_the_first_fault_in_file_order(tmp_path):
     assert read_error(tmp_path, f"a\n1\nz\n{huge}\n") == \
         "bad.csv:3: column 1 (a): not a number: 'z'"
     (tmp_path / "huge.csv").write_text(f"a\n1\n{huge}\nz\n")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(ValueError) as info:
         read_csv(tmp_path / "huge.csv")
+    assert str(info.value) == (f"{tmp_path / 'huge.csv'}:3: "
+                               f"field larger than field limit ({csv.field_size_limit()})")
     assert read_error(tmp_path, "a,b\n\n\n") == "bad.csv: no data rows"
     assert read_error(tmp_path, "") == "bad.csv: empty CSV"
 

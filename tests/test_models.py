@@ -89,6 +89,20 @@ def test_forward_is_exactly_decode_of_encode():
     assert np.array_equal(model.decode(z).data, model.forward(x).data)
 
 
+def test_all_true_mask_gives_the_unmasked_bits():
+    model = ReconstructorModel(d=3, m=10, seed=6)
+    x = np.random.default_rng(4).random((5, 3, 2, 10))
+    full = model.forward(x).data
+    assert np.array_equal(model.forward(x, np.ones((5, 3), dtype=bool)).data.view(np.uint64),
+                          full.view(np.uint64))
+    mask = np.array([[1, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 0]], dtype=bool)
+    part = model.forward(x, mask).data
+    assert np.max(np.abs(part - full)[mask]) <= 1e-12
+    assert np.all(part[~mask] == 0.0)
+    with pytest.raises(ValueError, match="mask"):
+        model.forward(x, mask[:, :2])
+
+
 def test_reconstructor_input_validation():
     model = ReconstructorModel(d=2, m=10)
     with pytest.raises(ValueError, match="expected"):

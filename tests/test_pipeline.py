@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_regime_series
 from saeti import models
@@ -178,14 +180,78 @@ def test_chunked_equals_single_chunk(small_series, small_bundle, monkeypatch):
     calls = []
     forward = small_bundle.reconstructor.forward
     monkeypatch.setattr(small_bundle.reconstructor, "forward",
-                        lambda x: calls.append(len(x)) or forward(x))
+                        lambda x, mask: calls.append(len(x)) or forward(x, mask))
     chunked, report = impute_report(gapped, small_bundle)
     gaps = report["windows"]["with_gaps"]
-    assert gaps > models.GAP_CHUNK
-    assert calls == [models.GAP_CHUNK, gaps - models.GAP_CHUNK]
+    full, rest = divmod(gaps, models.GAP_CHUNK)
+    assert full >= 2 and rest > 0
+    assert calls == [models.GAP_CHUNK] * full + [rest]
     calls.clear()
     monkeypatch.setattr(models, "GAP_CHUNK", 10 * gaps)
     whole, report_whole = impute_report(gapped, small_bundle)
     assert calls == [gaps]
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12
     assert report["snippet_usage"] == report_whole["snippet_usage"]
+
+
+def gap_layout(layout, n, m, d, rng):
+    """Missing-cell matrix (n, d) of one named layout, drawn with ``rng``."""
+    missing = np.zeros((n, d), dtype=bool)
+    if layout == "one coordinate":
+        missing[:, rng.integers(d)] = rng.random(n) < 0.3
+    elif layout == "every coordinate":
+        missing[:] = rng.random((n, d)) < 0.3
+    elif layout == "blackout":
+        lo = rng.integers(n - 5)
+        missing[lo:lo + rng.integers(1, 6)] = True
+    elif layout == "covered tail":
+        # Only the overlap of the last two windows: the tail window has
+        # gaps, but the window before it writes every one of them.
+        lo, hi = n - m, n // m * m
+        missing[rng.integers(lo, hi), rng.integers(d)] = True
+    return missing
+
+
+@settings(max_examples=25, deadline=None)
+@given(layout=st.sampled_from(["one coordinate", "every coordinate", "blackout",
+                               "covered tail", "no gap"]),
+       extra=st.integers(1, 15), windows=st.integers(2, 5), seed=st.integers(0, 2**16))
+def test_masked_decode_matches_full_decode_for_random_gap_layouts(
+        small_series, small_bundle, layout, extra, windows, seed):
+    m = small_bundle.m
+    n = windows * m + extra   # not a multiple of m: the tail window overlaps
+    truth = small_series.values[:n]
+    missing = gap_layout(layout, n, m, truth.shape[1], np.random.default_rng(seed))
+    ts = TimeSeries.from_values(np.where(missing, np.nan, truth), names=small_series.names)
+    out = impute(ts, small_bundle)
+    expected, _ = reference_impute(ts, small_bundle)
+    assert np.array_equal(out.values[~missing], truth[~missing])
+    assert np.max(np.abs(out.values - expected)) <= 1e-12
+
+
+def test_decoders_see_only_the_rows_that_write(small_series, small_bundle, monkeypatch):
+    m, chunk = small_bundle.m, 3
+    n = 10 * m + 7
+    vals = small_series.values[:n].copy()
+    vals[[5, 40, 70, 100], 0] = np.nan      # windows 0, 2, 4, 6: coordinate 0
+    vals[[20, 70, 130], 1] = np.nan         # windows 1, 4, 8: coordinate 1
+    vals[n - m + 2, 0] = np.nan             # tail overlap: window 9 writes it
+    vals[n - 3, 1] = np.nan                 # the tail window's own cell
+    ts = TimeSeries.from_values(vals, names=small_series.names)
+    # Gap windows in order: 0, 1, 2, 4, 6, 8, 9, tail.
+    writes = np.array([[1, 0], [0, 1], [1, 0], [1, 1], [1, 0], [0, 1], [1, 0], [0, 1]], bool)
+    firsts = {id(stack[0].weight): j for j, stack in enumerate(small_bundle.reconstructor.decoders)}
+    seen = {0: [], 1: []}
+    conv1d = models.conv1d
+
+    def counting(x, weight, bias):
+        if id(weight) in firsts:
+            seen[firsts[id(weight)]].append(x.shape[0])
+        return conv1d(x, weight, bias)
+
+    monkeypatch.setattr(models, "conv1d", counting)
+    monkeypatch.setattr(models, "GAP_CHUNK", chunk)
+    impute(ts, small_bundle)
+    for j in (0, 1):
+        want = [int(writes[lo:lo + chunk, j].sum()) for lo in range(0, len(writes), chunk)]
+        assert seen[j] == want, j
