@@ -24,16 +24,15 @@ for s in range(0, n, block):
 
 sset = find_snippets(values, m=m, k=2)
 print(f"discovered {len(sset.items)} snippets (m={m}):")
-for item in sset.items:
+for r, item in enumerate(sset.items):
     rows = (item.index - 1) * m
     print(f"  segment {item.index:3d} (rows {rows}..{rows + m - 1})"
-          f"  frac={item.frac:.3f}  neighbors={len(item.neighbors)}")
+          f"  frac={item.frac:.3f}  neighbors={np.count_nonzero(sset.ranks == r)}")
 
 # fracs always sum to one: every subsequence belongs to exactly one snippet
 print("frac total:", sum(item.frac for item in sset.items))
 
-# windows can be labeled by their nearest snippet (ranks are 1-based);
-# starts are 1-based positions in the original series
+# a window of the series takes the rank of the snippet whose set holds
+# its start (ranks and starts are 1-based here)
 for name, row in [("fast", 10), ("slow", block + 10)]:
-    print(f"window from {name} regime -> snippet rank",
-          label_subsequence(values[row:row + m], row + 1, sset))
+    print(f"window from {name} regime -> snippet rank", label_subsequence(row + 1, sset))

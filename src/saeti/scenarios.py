@@ -30,6 +30,16 @@ def _with_hidden(ts: TimeSeries, hidden: np.ndarray) -> TimeSeries:
                       mask=mask, names=ts.names)
 
 
+def _uniform_start(rows_ok: np.ndarray, length: int, rng: np.random.Generator,
+                   error: str) -> int:
+    """Uniform start of a stretch of ``length`` rows all ``rows_ok``, else ValueError."""
+    starts = np.flatnonzero(
+        np.lib.stride_tricks.sliding_window_view(rows_ok, length).all(axis=1))
+    if starts.size == 0:
+        raise ValueError(error)
+    return int(rng.choice(starts))
+
+
 def gen_blackout(ts: TimeSeries, length: int,
                  rng: np.random.Generator | int | None = None,
                  ) -> tuple[TimeSeries, np.ndarray]:
@@ -42,13 +52,8 @@ def gen_blackout(ts: TimeSeries, length: int,
     rng = np.random.default_rng(rng)
     if not 1 <= length <= ts.n:
         raise ValueError(f"block length {length} out of range for n={ts.n}")
-    full_rows = ts.mask.all(axis=1).astype(float)
-    # valid start s: rows s..s+length-1 all fully observed
-    window_ok = np.lib.stride_tricks.sliding_window_view(full_rows, length)
-    starts = np.flatnonzero(window_ok.min(axis=1) == 1.0)
-    if starts.size == 0:
-        raise ValueError(f"no fully observed stretch of {length} steps")
-    s = int(rng.choice(starts))
+    s = _uniform_start(ts.mask.all(axis=1), length, rng,
+                       f"no fully observed stretch of {length} steps")
     hidden = np.zeros_like(ts.mask)
     hidden[s:s + length, :] = True
     return _with_hidden(ts, hidden), hidden
@@ -103,12 +108,8 @@ def gen_ts_nbr(ts: TimeSeries, length: int | None = None,
         coord = int(rng.integers(ts.d))
     if not 0 <= coord < ts.d:
         raise ValueError(f"coordinate {coord} out of range")
-    ok = ts.mask[:, coord].astype(float)
-    window_ok = np.lib.stride_tricks.sliding_window_view(ok, length)
-    starts = np.flatnonzero(window_ok.min(axis=1) == 1.0)
-    if starts.size == 0:
-        raise ValueError(f"no fully observed stretch of {length} steps in coordinate {coord}")
-    s = int(rng.choice(starts))
+    s = _uniform_start(ts.mask[:, coord], length, rng,
+                       f"no fully observed stretch of {length} steps in coordinate {coord}")
     hidden = np.zeros_like(ts.mask)
     hidden[s:s + length, coord] = True
     return _with_hidden(ts, hidden), hidden

@@ -2,10 +2,13 @@
 
 A snippet is one of the disjoint length-m segments of a coordinate,
 chosen because many subsequences are closer to it (in MPdist) than to
-any other segment. Each snippet carries the segment index, the set of
-subsequence start positions assigned to it (its neighbors) and its
-significance ``frac`` = share of retained subsequences in the neighbor
-set. Snippets are ordered by non-increasing frac.
+any other segment. Each subsequence belongs to exactly one snippet: a
+snippet set keeps that partition as one array, ``ranks``, holding the
+0-based snippet rank of every subsequence start (-1 where the
+subsequence has a gap). Each snippet carries its segment index and its
+significance ``frac`` = share of retained subsequences it holds; its
+neighbors are the starts of its rank. Snippets are ordered by
+non-increasing frac.
 
 Assignment is computed literally from the full segment-by-subsequence
 MPdist matrix, which keeps it brute-force verifiable; ties in both the
@@ -22,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_ts import TimeSeries
-from .mpdist import ProfileMatrix, default_inner_window, mpdist, mpdist_profile_matrix
+from .mpdist import default_inner_window, mpdist_profile_matrix
 
 __all__ = [
     "Snippet",
     "SnippetSet",
-    "assign_neighbors",
     "find_snippets",
     "find_all_snippets",
     "label_subsequence",
@@ -39,40 +41,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Snippet:
-    """One chosen segment with its neighbor set and significance."""
+    """One chosen segment with its significance."""
 
     coord: int
     index: int                 # 1-based segment number
     values: np.ndarray         # the segment's own length-m values
-    neighbors: frozenset[int]  # 1-based subsequence start positions
     frac: float
 
 
 @dataclass(frozen=True)
 class SnippetSet:
-    """The K most significant snippets of one coordinate, frac-ordered."""
+    """The K most significant snippets of one coordinate, frac-ordered.
+
+    ``ranks[s]`` is the 0-based rank (into ``items``) of the snippet that
+    holds the subsequence at 0-based start ``s``, or -1 where that
+    subsequence has a gap; shape (n - m + 1,).
+    """
 
     coord: int
     m: int
     k: int
     ell: int
     items: tuple[Snippet, ...]
-
-
-def assign_neighbors(profile: ProfileMatrix) -> dict[int, int]:
-    """Map each retained subsequence start to its closest segment index.
-
-    Per-column argmin of the MPdist matrix; ties break toward the smaller
-    segment index (rows are in ascending segment order, argmin returns the
-    first minimum).
-    """
-    if profile.dist.shape[0] == 0:
-        raise ValueError("profile matrix has no retained segments")
-    rows = np.argmin(profile.dist, axis=0)
-    return {
-        int(start): int(profile.segment_indices[row])
-        for start, row in zip(profile.subseq_starts, rows)
-    }
+    ranks: np.ndarray
 
 
 def find_snippets(values: np.ndarray, m: int, k: int,
@@ -95,85 +86,66 @@ def find_snippets(values: np.ndarray, m: int, k: int,
         Coordinate index recorded on the result (0-based).
     """
     values = np.asarray(values, dtype=float)
-    if ell is None:
-        ell = default_inner_window(m)
+    ell = default_inner_window(m) if ell is None else ell
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         warnings.warn("k=1 yields a single class; the classifier is degenerate",
                       stacklevel=2)
     profile = mpdist_profile_matrix(values, m, ell)
-    if profile.subseq_starts.shape[0] == 0:
+    n_retained = profile.subseq_starts.shape[0]
+    if n_retained == 0:
         raise ValueError("insufficient clean data: every subsequence has gaps")
     n_segments = profile.dist.shape[0]
     if n_segments == 0:
         raise ValueError("insufficient clean data: every segment has gaps")
     if k > n_segments:
-        raise ValueError(
-            f"k={k} exceeds the {n_segments} retained segments"
-        )
+        raise ValueError(f"k={k} exceeds the {n_segments} retained segments")
 
-    assignment = assign_neighbors(profile)
-    n_retained = profile.subseq_starts.shape[0]
-
-    counts: dict[int, int] = {int(idx): 0 for idx in profile.segment_indices}
-    for seg in assignment.values():
-        counts[seg] += 1
-
-    # Most-attracting segments first, ties toward the smaller index.
-    ranking = sorted(counts, key=lambda idx: (-counts[idx], idx))
-    chosen = ranking[:k]
-
+    # Most-attracting segments first. Rows are in ascending segment order,
+    # and argmin and the stable sorts keep the first of equals, so every
+    # tie goes to the smaller index.
+    counts = np.bincount(np.argmin(profile.dist, axis=0), minlength=n_segments)
+    chosen = np.argsort(-counts, kind="stable")[:k]
     # Every subsequence then belongs to its nearest chosen segment, so
-    # the k neighbor sets partition the retained subsequences and the
-    # fracs sum to exactly 1. Ties go to the stronger candidate.
-    row_of = {int(idx): r for r, idx in enumerate(profile.segment_indices)}
-    sub_rows = profile.dist[[row_of[idx] for idx in chosen]]
-    nearest = np.argmin(sub_rows, axis=0)
-    neighbor_sets: dict[int, set[int]] = {idx: set() for idx in chosen}
-    for start, which in zip(profile.subseq_starts, nearest):
-        neighbor_sets[chosen[which]].add(int(start))
+    # the ranks partition the retained subsequences and the fracs sum to
+    # exactly 1. Ties go to the stronger candidate.
+    nearest = np.argmin(profile.dist[chosen], axis=0)
+    sizes = np.bincount(nearest, minlength=k)
+    order = np.lexsort((chosen, -sizes))
+    ranks = np.full(values.shape[0] - m + 1, -1)
+    ranks[profile.subseq_starts - 1] = np.argsort(order)[nearest]
 
-    order = sorted(chosen, key=lambda idx: (-len(neighbor_sets[idx]), idx))
-    items = []
-    for idx in order:
-        start0 = (idx - 1) * m
-        items.append(Snippet(
-            coord=coord,
-            index=idx,
-            values=values[start0:start0 + m].copy(),
-            neighbors=frozenset(neighbor_sets[idx]),
-            frac=len(neighbor_sets[idx]) / n_retained,
-        ))
-    return SnippetSet(coord=coord, m=m, k=k, ell=ell, items=tuple(items))
+    items = tuple(
+        Snippet(coord=coord, index=int(idx), values=values[(idx - 1) * m:idx * m].copy(),
+                frac=int(size) / n_retained)
+        for idx, size in zip(profile.segment_indices[chosen[order]], sizes[order]))
+    return SnippetSet(coord=coord, m=m, k=k, ell=ell, items=items, ranks=ranks)
 
 
 def find_all_snippets(ts: TimeSeries, m: int, k: int,
                       ell: int | None = None) -> list[SnippetSet]:
     """Run snippet discovery on every coordinate independently."""
-    return [
-        find_snippets(ts.coord(j), m, k, ell=ell, coord=j) for j in range(ts.d)
-    ]
+    return [find_snippets(ts.coord(j), m, k, ell=ell, coord=j) for j in range(ts.d)]
 
 
-def label_subsequence(values: np.ndarray, start: int, sset: SnippetSet) -> int:
-    """Class (1..K) of a gap-free window of one coordinate under a snippet set.
+def label_subsequence(starts, sset: SnippetSet) -> np.ndarray:
+    """1-based snippet rank of each subsequence at 1-based ``starts``.
 
-    ``values`` are the window's length-m values and ``start`` its 1-based
-    position. A start recorded in some snippet's neighbor set gets that
-    snippet's rank directly. Anything else (a neighbor of a non-selected
-    segment, or a window from another series) is labeled by the
-    MPdist-nearest snippet, ties toward the better rank.
+    A subsequence takes the rank of the snippet that holds its start in
+    ``sset.ranks``. A start outside the series the set was found on, or
+    one whose subsequence had a gap there, raises ``ValueError``.
     """
-    if np.isnan(values).any():
-        raise ValueError("cannot label a subsequence containing gaps")
-    if not sset.items:
-        raise ValueError("empty snippet set")
-    for rank, snippet in enumerate(sset.items, start=1):
-        if start in snippet.neighbors:
-            return rank
-    dists = [mpdist(values, s.values, sset.ell) for s in sset.items]
-    return int(np.argmin(dists)) + 1
+    starts = np.asarray(starts)
+    n_starts = sset.ranks.shape[0]
+    outside = (starts < 1) | (starts > n_starts)
+    if outside.any():
+        raise ValueError(f"subsequence start {starts[outside].flat[0]} is outside 1..{n_starts}")
+    ranks = sset.ranks[starts - 1]
+    unranked = ranks < 0
+    if unranked.any():
+        raise ValueError(f"subsequence at start {starts[unranked].flat[0]} has a gap")
+    return ranks + 1
 
 
 def snippet_values(sets: list[SnippetSet]) -> np.ndarray:
@@ -193,9 +165,9 @@ def snippet_sets_to_json(sets: list[SnippetSet]) -> str:
                     "index": item.index,
                     "frac": item.frac,
                     "values": [float(v) for v in item.values],
-                    "neighbors": sorted(item.neighbors),
+                    "neighbors": (np.flatnonzero(s.ranks == r) + 1).tolist(),
                 }
-                for item in s.items
+                for r, item in enumerate(s.items)
             ],
         }
         for s in sets

@@ -113,15 +113,15 @@ def label_windows(starts: np.ndarray, values: np.ndarray, mask: np.ndarray,
                   recognizer: RecognizerModel | None = None) -> np.ndarray:
     """0-based snippet rank per coordinate of (N, d, m) windows, shape (N, d).
 
-    ``starts`` are the windows' 0-based positions. Gap-free windows are
-    labeled exactly from the snippet neighbor sets; windows with holes are
-    routed through the classifier with :func:`models.infer`.
+    ``starts`` are the windows' 0-based positions. A gap-free window takes,
+    per coordinate, the rank of the snippet whose set holds its start
+    (one :func:`label_subsequence` gather per coordinate); windows with
+    holes are routed through the classifier with :func:`models.infer`.
     """
     clean = mask.all(axis=(1, 2))
     labels = np.empty(mask.shape[:2], dtype=int)
-    for i in np.flatnonzero(clean):
-        labels[i] = [label_subsequence(values[i, j], int(starts[i]) + 1, sset) - 1
-                     for j, sset in enumerate(sets)]
+    for j, sset in enumerate(sets):
+        labels[clean, j] = label_subsequence(starts[clean] + 1, sset) - 1
     if not clean.all():
         if recognizer is None:
             raise ValueError("window has gaps and no classifier was provided")
@@ -353,21 +353,23 @@ def train_bundle(
 
     Returns the bundle plus the two training histories (classifier
     first). Pass the snippet sets discovered on the same series: one per
-    coordinate, each with the config's m and k, all with one ell (the
-    bundle's), else ``ValueError`` before any training.
+    coordinate, each with the config's m and k and a rank for each of the
+    series' subsequence starts, all with one ell (the bundle's), else
+    ``ValueError`` before any training.
     """
-    d = ts_norm.d
-    shapes = [(s.m, s.k, s.ell) for s in sets]
-    if len(sets) != d or any(shape != (config.m, config.k, sets[0].ell) for shape in shapes):
-        raise ValueError(f"snippet sets (m, k, ell) {shapes} do not match the config: "
-                         f"need {d} sets with m={config.m}, k={config.k} and one ell")
-    recognizer = RecognizerModel(d, config.m, config.k, seed=config.seed)
-    rx, ry = build_recognizer_dataset(ts_norm, sets, config.m)
+    d, m = ts_norm.d, config.m
+    shapes = [(s.m, s.k, s.ell, s.ranks.shape[0]) for s in sets]
+    if len(sets) != d or any(shape != (m, config.k, sets[0].ell, ts_norm.n - m + 1)
+                             for shape in shapes):
+        raise ValueError(f"snippet sets (m, k, ell, starts) {shapes} do not match the "
+                         f"config: need {d} sets with m={m}, k={config.k}, one ell and "
+                         f"{ts_norm.n - m + 1} subsequence starts")
+    recognizer = RecognizerModel(d, m, config.k, seed=config.seed)
+    rx, ry = build_recognizer_dataset(ts_norm, sets, m)
     recog_history = train_recognizer(recognizer, rx, ry, config)
 
-    reconstructor = ReconstructorModel(d, config.m, latent=config.latent,
-                                       seed=config.seed)
-    ax, at, aw = build_reconstructor_dataset(ts_norm, sets, config.m, recognizer)
+    reconstructor = ReconstructorModel(d, m, latent=config.latent, seed=config.seed)
+    ax, at, aw = build_reconstructor_dataset(ts_norm, sets, m, recognizer)
     recon_history = train_reconstructor(reconstructor, ax, at, aw, config)
 
     bundle = ModelBundle(names=ts_norm.names, norm=norm, snippets=snippet_values(sets),

@@ -119,12 +119,12 @@ def test_a2_snippet_partition():
             warnings.simplefilter("ignore", UserWarning)
             sset = find_snippets(values, m, k)
         profile = mpdist_profile_matrix(values, m)
-        retained = set(int(s) for s in profile.subseq_starts)
-        seen: set[int] = set()
-        for item in sset.items:
-            assert not (seen & item.neighbors), "neighbor sets overlap"
-            seen |= item.neighbors
-        assert seen == retained, "neighbor sets miss some subsequences"
+        n_retained = profile.subseq_starts.shape[0]
+        ranked = np.flatnonzero(sset.ranks >= 0) + 1
+        assert np.array_equal(ranked, profile.subseq_starts), "ranks miss some subsequences"
+        assert ((sset.ranks >= -1) & (sset.ranks < k)).all(), "rank out of range"
+        for r, item in enumerate(sset.items):
+            assert item.frac == np.count_nonzero(sset.ranks == r) / n_retained
         worst_sum_err = max(worst_sum_err,
                             abs(sum(it.frac for it in sset.items) - 1.0))
 

@@ -223,11 +223,11 @@ def test_snippet_fracs_partition_retained_subsequences(case, k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # k=1 warns about a degenerate classifier
         sset = find_snippets(x, m, k)
-    neighbor_sets = [item.neighbors for item in sset.items]
-    assert sum(len(s) for s in neighbor_sets) == len(frozenset().union(*neighbor_sets))
-    assert frozenset().union(*neighbor_sets) == frozenset(pm.subseq_starts.tolist())
-    for item in sset.items:
-        assert item.frac == len(item.neighbors) / pm.subseq_starts.shape[0]
+    assert sset.ranks.shape == (x.shape[0] - m + 1,)
+    assert np.array_equal(np.flatnonzero(sset.ranks >= 0) + 1, pm.subseq_starts)
+    assert ((sset.ranks >= -1) & (sset.ranks < k)).all()
+    for r, item in enumerate(sset.items):
+        assert item.frac == np.count_nonzero(sset.ranks == r) / pm.subseq_starts.shape[0]
     assert abs(sum(item.frac for item in sset.items) - 1.0) <= 1e-12
 
 

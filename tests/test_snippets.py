@@ -5,9 +5,8 @@ import pytest
 
 from conftest import two_regime_series
 from saeti.core_ts import minmax_normalize
-from saeti.mpdist import mpdist, mpdist_profile_matrix
+from saeti.mpdist import mpdist_profile_matrix
 from saeti.snippets import (
-    assign_neighbors,
     find_all_snippets,
     find_snippets,
     label_subsequence,
@@ -24,10 +23,10 @@ def test_neighbor_sets_partition_random_series():
         x = rng.normal(size=n)
         k = min(2 + trial % 3, n // m)
         sset = find_snippets(x, m, k)
-        starts = [set(s.neighbors) for s in sset.items]
-        union = set().union(*starts)
-        assert sum(len(s) for s in starts) == len(union)  # disjoint
-        assert union == set(range(1, n - m + 2))          # full coverage
+        assert sset.ranks.shape == (n - m + 1,)
+        assert ((sset.ranks >= 0) & (sset.ranks < k)).all()  # every start, one set
+        for r, s in enumerate(sset.items):
+            assert s.frac == np.count_nonzero(sset.ranks == r) / (n - m + 1)
         assert abs(sum(s.frac for s in sset.items) - 1.0) <= 1e-12
 
 
@@ -60,12 +59,13 @@ def test_snippet_values_are_the_segment_values():
         assert np.array_equal(s.values, x[st:st + 12])
 
 
-def test_assign_neighbors_tie_goes_to_earlier_segment():
-    # identical halves: every window ties between segments, argmin row 0 wins
+def test_find_snippets_tie_goes_to_earlier_segment():
+    # identical halves: every window ties between segments, segment 1 wins
     x = np.tile(np.sin(np.arange(8.0)), 4)
-    pm = mpdist_profile_matrix(x, 8)
-    assignment = assign_neighbors(pm)
-    assert set(assignment.values()) == {1}
+    assert (mpdist_profile_matrix(x, 8).dist == 0.0).all()
+    sset = find_snippets(x, 8, 2)
+    assert sset.items[0].index == 1 and sset.items[0].frac == 1.0
+    assert (sset.ranks == 0).all()
 
 
 def test_k_validation():
@@ -90,27 +90,25 @@ def test_label_by_neighbor_membership():
     rng = np.random.default_rng(31)
     x = rng.normal(size=160)
     sset = find_snippets(x, 16, 3)
-    for rank, snip in enumerate(sset.items, start=1):
-        start = sorted(snip.neighbors)[0]
-        assert label_subsequence(x[start - 1:start + 15], start, sset) == rank
-
-
-def test_label_foreign_window_by_nearest_snippet():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=160)
-    sset = find_snippets(x, 16, 2)
-    q = rng.normal(size=16)
-    got = label_subsequence(q, 999, sset)
-    dists = [mpdist(q, s.values, sset.ell) for s in sset.items]
-    assert got == int(np.argmin(dists)) + 1
+    items = json.loads(snippet_sets_to_json([sset]))[0]["items"]
+    for rank, starts in enumerate((item["neighbors"] for item in items), start=1):
+        assert label_subsequence(starts[0], sset) == rank
+        assert (label_subsequence(starts, sset) == rank).all()
+    every = np.arange(1, 146)
+    assert np.array_equal(label_subsequence(every, sset), sset.ranks + 1)
 
 
 def test_label_rejects_gaps():
-    sset = find_snippets(np.random.default_rng(1).normal(size=80), 8, 2)
-    vals = np.ones(8)
-    vals[3] = np.nan
-    with pytest.raises(ValueError):
-        label_subsequence(vals, 1, sset)
+    x = np.random.default_rng(1).normal(size=80)
+    x[40] = np.nan
+    sset = find_snippets(x, 8, 2)
+    assert label_subsequence(33, sset) >= 1 and label_subsequence(42, sset) >= 1
+    for start in (34, 41):  # first and last window holding row 40 (1-based 41)
+        with pytest.raises(ValueError, match=f"start {start} has a gap"):
+            label_subsequence([1, start], sset)
+    for start in (0, -1, 74):  # 80 - 8 + 1 = 73 starts
+        with pytest.raises(ValueError, match=f"start {start} is outside 1..73"):
+            label_subsequence(np.array([1, start]), sset)
 
 
 def test_find_all_snippets_covers_each_coordinate():
@@ -131,8 +129,8 @@ def test_json_roundtrip_is_exact(tmp_path):
     back = json.loads(path.read_text())
     for a, b in zip(sets, back, strict=True):
         assert (a.coord, a.m, a.k, a.ell) == (b["coord"], b["m"], b["k"], b["ell"])
-        for sa, sb in zip(a.items, b["items"], strict=True):
+        for r, (sa, sb) in enumerate(zip(a.items, b["items"], strict=True)):
             assert sa.index == sb["index"]
             assert sa.frac == sb["frac"]
-            assert sa.neighbors == frozenset(sb["neighbors"])
+            assert np.array_equal(np.flatnonzero(a.ranks == r) + 1, sb["neighbors"])
             assert np.array_equal(sa.values, sb["values"])

@@ -11,7 +11,7 @@ from saeti.autograd import no_grad
 from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
 from saeti.scenarios import gen_mcar
-from saeti.snippets import find_all_snippets, label_subsequence, snippet_values
+from saeti.snippets import find_all_snippets, snippet_values
 from saeti.training import (
     BUNDLE_MAGIC,
     MASK_FRACTION,
@@ -33,8 +33,7 @@ from saeti.training import (
 def window_labels(start, values, mask, sets, recognizer=None):
     """Per-window reference: one (d, m) window, gap windows predicted batch-1."""
     if mask.all():
-        return np.array([label_subsequence(values[j], int(start) + 1, sset) - 1
-                         for j, sset in enumerate(sets)])
+        return np.array([sset.ranks[start] for sset in sets])
     if recognizer is None:
         raise ValueError("window has gaps and no classifier was provided")
     with no_grad():
@@ -229,21 +228,38 @@ def test_train_bundle_and_roundtrip(tmp_path, norm_and_sets):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
 @pytest.mark.parametrize("edit, config", [
-    (lambda sets: sets, TrainConfig(m=16, k=3)),
-    (lambda sets: sets, TrainConfig(m=32, k=2)),
-    (lambda sets: sets[:1], TrainConfig(m=16, k=2)),
-    (lambda sets: [sets[0], dataclasses.replace(sets[1], ell=7)], TrainConfig(m=16, k=2)),
-], ids=["k", "m", "one-set-short", "two-ells"])
+    (lambda ts, sets: sets, TrainConfig(m=16, k=3)),
+    (lambda ts, sets: sets, TrainConfig(m=32, k=2)),
+    (lambda ts, sets: sets[:1], TrainConfig(m=16, k=2)),
+    (lambda ts, sets: [sets[0], dataclasses.replace(sets[1], ell=7)], TrainConfig(m=16, k=2)),
+    (lambda ts, sets: find_all_snippets(
+        TimeSeries.from_values(ts.values[:-8], names=ts.names), 16, 2), TrainConfig(m=16, k=2)),
+], ids=["k", "m", "one-set-short", "two-ells", "other-length"])
 def test_train_bundle_rejects_sets_that_differ_from_the_config(norm_and_sets, monkeypatch,
                                                                edit, config):
     ts_norm, norm, sets = norm_and_sets
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-    monkeypatch.setattr(training, "train_recognizer", no_training)
+    monkeypatch.setattr(training, "train_recognizer", _no_training)
     with pytest.raises(ValueError, match="do not match the config"):
-        train_bundle(ts_norm, norm, edit(sets), config)
+        train_bundle(ts_norm, norm, edit(ts_norm, sets), config)
+
+
+def test_train_bundle_rejects_sets_found_with_gaps_elsewhere(norm_and_sets, monkeypatch):
+    ts_norm, norm, _ = norm_and_sets
+    # The same series with a gap in row 20 of coordinate 1: its sets rank
+    # no subsequence holding that row, yet the window at row 16 is clean
+    # in the series trained on.
+    vals = ts_norm.values.copy()
+    vals[20, 1] = np.nan
+    other = find_all_snippets(TimeSeries.from_values(vals, names=ts_norm.names), 16, 2)
+    assert other[1].ranks.shape == (ts_norm.n - 15,) and other[1].ranks[16] == -1
+    monkeypatch.setattr(training, "train_recognizer", _no_training)
+    with pytest.raises(ValueError, match="start 17 has a gap"):
+        train_bundle(ts_norm, norm, other, TrainConfig(m=16, k=2))
 
 
 def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatch):
