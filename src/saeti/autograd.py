@@ -7,9 +7,10 @@ op takes one input form and returns ``_node(result, parents, backward)``,
 which records the graph only when a gradient flows; values that only the
 backward reads are computed inside it. Ops are deliberately coarse so
 graphs stay small and the heavy lifting runs inside BLAS. A convolution
-is one node that works time-major: one accumulating GEMM per tap over the
-zero-padded input rows; no column array. Its input gradient is the same
-routine run on the output gradient with the flipped, transposed kernel.
+is one node that works step-major: activations lie ``(L, B, C)`` in memory
+behind their ``(B, C, L)`` shape, so each tap is one GEMM over contiguous
+rows and the next conv or a GRU reads the output without a copy. Its
+input gradient is the same routine run with the flipped, transposed kernel.
 A GRU over a whole sequence is one node: it takes one time-major
 ``(T, B, F)`` tensor and returns every hidden state as one ``(T, B, H)``
 tensor. One GEMM projects every step, z and r share one recurrent
@@ -294,12 +295,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    # The factor is exactly 1 or LEAKY_SLOPE. Arithmetic on the mask runs
-    # several times faster than np.where, and the backward keeps only the mask.
-    keep = x.data > 0
+    # max(x, slope·x) is x·(1 or slope) on the bits, as 0 < slope < 1; the
+    # backward's arithmetic on the mask runs several times faster than np.where.
     def _bwd(g):
+        keep = x.data > 0
         x._accumulate(g * (keep + LEAKY_SLOPE * ~keep))
-    return _node(x.data * (keep + LEAKY_SLOPE * ~keep), (x,), _bwd)
+    return _node(np.maximum(x.data, LEAKY_SLOPE * x.data), (x,), _bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -323,31 +324,45 @@ def _pad_rows(xt: np.ndarray, pad: int) -> np.ndarray:
     return xp.reshape(-1, xt.shape[2])
 
 
-def _conv_time_major(xt: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded convolution of ``(B, L, C_in)`` ``xt`` with a ``(C_out, C_in, kw)`` kernel.
+def _conv_steps(xs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Same-padded convolution of step-major ``(L, B, C_in)`` ``xs``; ``(L, B, C_out)`` out.
 
-    Returns the ``(B, L, C_out)`` output and the zero-padded input rows:
-    one GEMM per tap ``t`` adds ``rows[r + t] @ W[:, :, t]`` into output
-    row ``r``, on Fortran-ordered views that f2py passes without a copy.
+    Step ``l`` is the row block ``[l·B, (l+1)·B)``, so tap ``t`` (shift ``s =
+    t - kw//2`` steps) is one GEMM from rows ``[lo + s·B, hi + s·B)`` into
+    output rows ``[lo, hi)``, for every step whose source exists. OpenBLAS
+    sums the last (columns mod 4) of a GEMM with one or two output rows in
+    another order, so each call spans a multiple of 4 rows: the rows it
+    adds land in 3 spare rows at either end of the output.
     """
-    b, length, _ = xt.shape
+    length, b, c_in = xs.shape
     c_out, _, kw = weight.shape
-    xp = _pad_rows(xt, kw // 2)
-    y = np.empty((len(xp), c_out))
+    n = length * b
+    rows = np.ascontiguousarray(xs).reshape(n, c_in)
+    y = np.empty((n + 6, c_out))
+    y[n + 3:] = 0.0
     taps = weight.transpose(2, 1, 0).copy()     # taps[t].T is W[:, :, t], Fortran order
-    rows = len(xp) - kw + 1                     # rows straddling two items are never read
-    for t in range(kw if rows > 0 else 0):
-        dgemm(1.0, taps[t].T, xp[t:t + rows].T, beta=float(t > 0), c=y[:rows].T, overwrite_c=1)
-    return y.reshape(b, length + kw - 1, c_out)[:, :length], xp
+    for t in range(kw):
+        s = (t - kw // 2) * b
+        lo, hi = max(0, -s), min(n, n - s)
+        if t == 0:                              # s <= 0, so hi is every row
+            y[:lo + 3] = 0.0
+        if lo < hi:
+            e = min(-(hi - lo) % 4, abs(s))
+            lo, hi = (lo - e, hi) if s > 0 else (lo, hi + e)
+            dgemm(1.0, taps[t].T, rows[lo + s:hi + s].T, beta=float(t > 0),
+                  c=y[lo + 3:hi + 3].T, overwrite_c=1)
+    return y[3:n + 3].reshape(length, b, c_out)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-padded 1-D convolution.
 
     ``x`` is batched ``(B, C_in, L)``; ``weight`` is ``(C_out, C_in, kw)``
-    with odd ``kw``; output length equals input length. One node: one
-    accumulating GEMM per tap over the zero-padded input rows; no column
-    array. Backward keeps the padded input rows.
+    with odd ``kw``; output length equals input length. One node that reads
+    ``x`` as step-major ``(L·B, C_in)`` rows (a view when ``x`` lies ``(L,
+    B, C_in)`` in memory, else one copy) and holds only its output, a
+    ``(B, C_out, L)`` view of an ``(L, B, C_out)`` buffer. The backward
+    pads input and gradient rows item by item for the weight and bias sums.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv1d input must be (B, C_in, L), got shape {x.data.shape}")
@@ -356,24 +371,23 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"kernel width must be odd, got {kw}")
     if x.data.shape[1] != c_in:
         raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, kernel expects {c_in}")
-    y, xp = _conv_time_major(x.data.transpose(0, 2, 1), weight.data)
+    y = _conv_steps(x.data.transpose(2, 0, 1), weight.data)
     y += bias.data
     def _bwd(g):
-        gt = g.transpose(0, 2, 1)    # (B, L, C_out)
         if x.requires_grad:
             # Transposed convolution: the input gradient is the same-padded
             # convolution of g with the flipped kernel, C_in and C_out swapped.
-            gx, gp = _conv_time_major(gt, weight.data.transpose(1, 0, 2)[:, :, ::-1])
-            x._accumulate(gx.transpose(0, 2, 1))
-        else:
-            gp = _pad_rows(gt, kw // 2)
+            gx = _conv_steps(g.transpose(2, 0, 1), weight.data.transpose(1, 0, 2)[:, :, ::-1])
+            x._accumulate(gx.transpose(1, 2, 0))
+        gp = _pad_rows(g.transpose(0, 2, 1), kw // 2)
         if weight.requires_grad:    # output row r is padded gradient row r + pad
             rows, pad = len(gp) - kw + 1, kw // 2
+            xp = _pad_rows(x.data.transpose(0, 2, 1), pad)
             gw = np.stack([xp[t:t + rows].T @ gp[pad:pad + rows] for t in range(kw)])
             weight._accumulate(gw.transpose(2, 1, 0))
         if bias.requires_grad:
             bias._accumulate(gp.sum(axis=0))
-    return _node(y.transpose(0, 2, 1), (x, weight, bias), _bwd)
+    return _node(y.transpose(1, 2, 0), (x, weight, bias), _bwd)
 
 
 def maxpool1d(x: Tensor) -> Tensor:

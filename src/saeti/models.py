@@ -3,7 +3,9 @@
 Both operate on fixed-length windows cut from a min-max normalized
 series, with missing points filled with -1 so gaps sit outside the
 observed [0, 1] range. Shapes follow the (batch, coordinate, time)
-convention throughout. Every inference, in training and in imputation,
+convention throughout; conv activations lie (time, batch, channel) in
+memory behind it, so the hand-offs to and from the GRUs need no
+transposing copy. Every inference, in training and in imputation,
 prepares windows with :func:`model_inputs` and runs through :func:`infer`.
 """
 
@@ -236,9 +238,8 @@ class ReconstructorModel:
             h = Tensor(x[:, i])            # (B, 2, m)
             for conv in stack:
                 h = leaky_relu(conv1d(h, conv.weight, conv.bias))
-            branches.append(h)             # (B, 32, m)
-        merged = concat(branches, axis=1)  # (B, 32*d, m)
-        last = gru_forward(merged.transpose(2, 0, 1), self.enc_gru)[-1]
+            branches.append(h.transpose(2, 0, 1))    # (m, B, 32), contiguous
+        last = gru_forward(concat(branches, axis=2), self.enc_gru)[-1]
         return last @ self.to_latent.weight + self.to_latent.bias
 
     def decode(self, z: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -259,13 +260,12 @@ class ReconstructorModel:
         steps_in = seed.reshape(batch, self.m, self.m)   # m steps of m features
         states = gru_forward(steps_in.transpose(1, 0, 2), self.dec_gru)
         width = ENCODER_FILTERS[-1]
-        # (B, 32*d, m): hidden state per step laid out as channels
-        trace = states.transpose(1, 2, 0)
         outputs = []
         for i, stack in enumerate(self.decoders):
             keep = None if mask is None or mask[:, i].all() else mask[:, i]
             rows = slice(None) if keep is None else np.flatnonzero(keep)
-            h = trace[rows, i * width:(i + 1) * width, :]
+            # Coordinate i's channels of the (m, B, 32*d) states, as (rows, 32, m).
+            h = states[:, rows, i * width:(i + 1) * width].transpose(1, 2, 0)
             for conv in stack[:-1]:
                 h = leaky_relu(conv1d(h, conv.weight, conv.bias))
             final = stack[-1]

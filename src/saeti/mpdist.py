@@ -71,14 +71,12 @@ class ProfileMatrix:
 
     ``dist[r, j]`` is the MPdist between subsequence ``subseq_starts[j]``
     and segment ``segment_indices[r]`` (both 1-based). Subsequences or
-    segments containing missing points are excluded and reported.
+    segments containing missing points are left out of both lists.
     """
 
     dist: np.ndarray
     segment_indices: np.ndarray
     subseq_starts: np.ndarray
-    excluded_segments: np.ndarray
-    excluded_starts: np.ndarray
     m: int
     ell: int
 
@@ -305,8 +303,6 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
         dist=dist,
         segment_indices=kept_segments + 1,
         subseq_starts=kept_subs + 1,
-        excluded_segments=np.flatnonzero(~seg_ok) + 1,
-        excluded_starts=np.flatnonzero(~sub_ok) + 1,
         m=m,
         ell=ell,
     )

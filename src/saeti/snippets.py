@@ -43,7 +43,6 @@ __all__ = [
 class Snippet:
     """One chosen segment with its significance."""
 
-    coord: int
     index: int                 # 1-based segment number
     values: np.ndarray         # the segment's own length-m values
     frac: float
@@ -117,7 +116,7 @@ def find_snippets(values: np.ndarray, m: int, k: int,
     ranks[profile.subseq_starts - 1] = np.argsort(order)[nearest]
 
     items = tuple(
-        Snippet(coord=coord, index=int(idx), values=values[(idx - 1) * m:idx * m].copy(),
+        Snippet(index=int(idx), values=values[(idx - 1) * m:idx * m].copy(),
                 frac=int(size) / n_retained)
         for idx, size in zip(profile.segment_indices[chosen[order]], sizes[order]))
     return SnippetSet(coord=coord, m=m, k=k, ell=ell, items=items, ranks=ranks)

@@ -8,15 +8,22 @@ the same values and gradients as ``autograd.conv1d`` and
 ``autograd.gru_forward`` for random shapes, including empty batches,
 kernels wider than the input and non-contiguous inputs.
 
+``conv1d_padded`` is the item-major formulation ``conv1d`` replaced: one
+accumulating GEMM per tap over zero-padded item-major rows. ``conv1d``
+must give its output and gradients bit for bit at every layer shape of
+the models.
+
 Further tests check that ``Tensor._accumulate`` never lets two tensors
 share a gradient buffer, that ``conv1d`` hands BLAS its operands without
-a copy and holds the padded input rather than an im2col column array,
-and that ``leaky_relu`` keeps a boolean mask for its backward.
+a copy, that its step-major output reaches the next conv and a GRU
+without a copy, and that ``conv1d`` and ``leaky_relu`` hold only their
+output for the backward.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,6 +59,46 @@ def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return ag._node(y, (x, weight, bias), _bwd)
 
 
+def _pad_rows(xt, pad):
+    xp = np.zeros((xt.shape[0], xt.shape[1] + 2 * pad, xt.shape[2]))
+    xp[:, pad:pad + xt.shape[1]] = xt
+    return xp.reshape(-1, xt.shape[2])
+
+
+def _conv_padded_rows(xt, weight):
+    """``(B, L, C_in)`` ``xt`` convolved item-major: one GEMM per tap over padded rows."""
+    b, length, _ = xt.shape
+    c_out, _, kw = weight.shape
+    xp = _pad_rows(xt, kw // 2)
+    y = np.empty((len(xp), c_out))
+    taps = weight.transpose(2, 1, 0).copy()
+    rows = len(xp) - kw + 1
+    for t in range(kw if rows > 0 else 0):
+        dgemm(1.0, taps[t].T, xp[t:t + rows].T, beta=float(t > 0), c=y[:rows].T, overwrite_c=1)
+    return y.reshape(b, length + kw - 1, c_out)[:, :length], xp
+
+
+def conv1d_padded(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    kw = weight.data.shape[2]
+    y, xp = _conv_padded_rows(x.data.transpose(0, 2, 1), weight.data)
+    y += bias.data
+
+    def _bwd(g):
+        gt = g.transpose(0, 2, 1)
+        if x.requires_grad:
+            gx, gp = _conv_padded_rows(gt, weight.data.transpose(1, 0, 2)[:, :, ::-1])
+            x._accumulate(gx.transpose(0, 2, 1))
+        else:
+            gp = _pad_rows(gt, kw // 2)
+        if weight.requires_grad:
+            rows, pad = len(gp) - kw + 1, kw // 2
+            gw = np.stack([xp[t:t + rows].T @ gp[pad:pad + rows] for t in range(kw)])
+            weight._accumulate(gw.transpose(2, 1, 0))
+        if bias.requires_grad:
+            bias._accumulate(gp.sum(axis=0))
+    return ag._node(y.transpose(0, 2, 1), (x, weight, bias), _bwd)
+
+
 def gru_graph(xs: list[Tensor], params: ag.GRUParams) -> tuple[list[Tensor], Tensor]:
     h = Tensor(np.zeros((xs[0].data.shape[0], params.hidden_size)))
     states = []
@@ -75,12 +122,17 @@ def _grads(tensors):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.integers(1, 4), st.integers(1, 4),
        st.sampled_from([1, 3, 5, 7]), st.integers(1, 9),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, transposed, seed):
+       st.sampled_from(["item-major", "transposed", "step-major", "channel-slice"]),
+       st.integers(0, 2**32 - 1))
+def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, layout, seed):
     rng = np.random.default_rng(seed)
     shape = (batch, c_in, length)
-    if transposed:  # a (B, L, C_in) array read through a transposed view
+    if layout == "transposed":  # a (B, L, C_in) array read through a transposed view
         data = rng.normal(size=(batch, length, c_in)).transpose(0, 2, 1)
+    elif layout == "step-major":  # an (L, B, C_in) array, as conv1d returns it
+        data = rng.normal(size=(length, batch, c_in)).transpose(1, 2, 0)
+    elif layout == "channel-slice":  # some channels of (L, B, C), as the decoder reads them
+        data = rng.normal(size=(length, batch, c_in + 3))[:, :, 1:1 + c_in].transpose(1, 2, 0)
     else:
         data = rng.normal(size=shape)
     x = Tensor(data, requires_grad=True)
@@ -99,6 +151,40 @@ def test_conv1d_matches_im2col_oracle(batch, c_in, c_out, kw, length, transposed
     _close(y_new, y_old)
     for a, o in zip(g_new, g_old):
         _close(a, o)
+
+
+# (C_in, C_out, L) of every conv layer of the models at d=4, m=32. The
+# recognizer's first layer and each encoder's read window data, which
+# carries no gradient.
+MODEL_CONV_SHAPES = [(4, 256, 32), (256, 128, 16), (128, 64, 8),
+                     (2, 128, 32), (128, 64, 32), (64, 32, 32),
+                     (32, 64, 32), (64, 128, 32), (128, 1, 32)]
+DATA_LAYERS = {(4, 256, 32), (2, 128, 32)}
+
+
+@pytest.mark.parametrize("layout", ["item-major", "step-major"])
+@pytest.mark.parametrize("batch", [1, 2, 30, 32])
+@pytest.mark.parametrize("shape", MODEL_CONV_SHAPES, ids=lambda s: "%d-%d-%d" % s)
+def test_conv1d_keeps_the_bits_of_the_padded_formulation(shape, batch, layout):
+    c_in, c_out, length = shape
+    rng = np.random.default_rng(c_in * 1000 + c_out + length + batch)
+    if layout == "step-major":
+        data = rng.normal(size=(length, batch, c_in)).transpose(1, 2, 0)
+    else:
+        data = rng.normal(size=(batch, c_in, length))
+    x = Tensor(data, requires_grad=shape not in DATA_LAYERS)
+    w = Tensor(rng.normal(size=(c_out, c_in, 5)) * 0.1, requires_grad=True)
+    b = Tensor(rng.normal(size=c_out), requires_grad=True)
+    probe = rng.normal(size=(length, batch, c_out)).transpose(1, 2, 0)
+
+    results = []
+    for op in (ag.conv1d, conv1d_padded):
+        ag.zero_grads([x, w, b])
+        y = op(x, w, b)
+        (y * probe).sum().backward()
+        results.append([y.data] + [t.grad for t in (x, w, b) if t.requires_grad])
+    for new, old in zip(*results, strict=True):
+        assert new.tobytes() == np.ascontiguousarray(old).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,12 +325,39 @@ def test_conv1d_passes_every_dgemm_operand_without_a_copy(monkeypatch):
     rng = np.random.default_rng(2)
     for data, kw in ((rng.normal(size=(3, 4, 7)), 5),
                      (rng.normal(size=(2, 7, 4)).transpose(0, 2, 1), 3),
-                     (rng.normal(size=(1, 4, 7)), 1)):
+                     (rng.normal(size=(1, 4, 7)), 1),
+                     (rng.normal(size=(7, 2, 4)).transpose(1, 2, 0), 5),
+                     (rng.normal(size=(3, 4, 2)), 5)):
         x = Tensor(data, requires_grad=True)
         w = Tensor(rng.normal(size=(6, 4, kw)), requires_grad=True)
         b = Tensor(rng.normal(size=6), requires_grad=True)
         (ag.conv1d(x, w, b) ** 2).sum().backward()
-    assert len(calls) == 2 * (5 + 3 + 1)
+    # One call per tap whose shifted rows overlap the input, forward and
+    # input gradient: at L=2 and kw=5 the two outer taps make none.
+    assert len(calls) == 2 * (5 + 3 + 1 + 5 + 3)
+
+
+def test_conv_activations_reach_the_next_conv_and_the_gru_without_a_copy(monkeypatch):
+    sources = []
+
+    def recording(alpha, a, b, beta, c, overwrite_c):
+        sources.append(b)
+        return dgemm(alpha, a, b, beta=beta, c=c, overwrite_c=overwrite_c)
+
+    monkeypatch.setattr(ag, "dgemm", recording)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 2, 8)))
+    w1, w2 = Tensor(rng.normal(size=(6, 2, 5))), Tensor(rng.normal(size=(4, 6, 5)))
+    h = ag.leaky_relu(ag.conv1d(x, w1, Tensor(np.zeros(6))))
+    sources.clear()
+    y = ag.conv1d(h, w2, Tensor(np.zeros(4)))
+    assert len(sources) == 5
+    assert all(np.shares_memory(src, h.data) for src in sources)
+    # gru_forward reads its (T, B, F) input as (T·B, F) rows.
+    steps = ag.maxpool1d(ag.relu(y)).transpose(2, 0, 1)
+    assert np.shares_memory(steps.data.reshape(-1, 4), steps.data)
+    states = ag.gru_forward(steps, ag.GRUParams(4, 3, rng))
+    assert states.shape == (4, 3, 3)
 
 
 def _conv_memory(op):
@@ -269,15 +382,16 @@ def _conv_memory(op):
     return held / x.data.nbytes, peak
 
 
-def test_conv1d_keeps_the_padded_input_not_columns():
+def test_conv1d_holds_only_its_output():
     held, peak = _conv_memory(ag.conv1d)
     im2col_held, im2col_peak = _conv_memory(conv1d_im2col)
-    assert held < 2.5, held
+    # The (32, 64, 32) output is half the input's bytes.
+    assert held < 0.51, held
     assert im2col_held > 5.0
     assert peak < im2col_peak, (peak, im2col_peak)
 
 
-def test_leaky_relu_keeps_a_boolean_mask_with_the_same_gradient_bits():
+def test_leaky_relu_holds_only_its_output_with_the_same_gradient_bits():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(16, 64, 32)), requires_grad=True)
     tracemalloc.start()
@@ -287,8 +401,8 @@ def test_leaky_relu_keeps_a_boolean_mask_with_the_same_gradient_bits():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # The output plus one byte per element; a float factor array is 8 more.
-    assert held < y.data.nbytes + 2 * x.data.size, held
+    # The output alone; a boolean mask would be one byte more per element.
+    assert held < y.data.nbytes + 4096, held
     g = rng.normal(size=x.shape)
     (y * g).sum().backward()
     assert np.array_equal(x.grad, g * np.where(x.data > 0, 1.0, ag.LEAKY_SLOPE))

@@ -176,11 +176,10 @@ def test_profile_matrix_excludes_gapped_rows_and_columns():
     x = rng.normal(size=120)
     x[30] = np.nan  # inside segment 3 for m=12
     pm = mpdist_profile_matrix(x, 12)
-    assert 3 in pm.excluded_segments
-    assert 3 not in pm.segment_indices
-    # every subsequence window touching index 30 is gone
-    for st in pm.subseq_starts:
-        assert not (st <= 31 <= st + 11)
+    # segment 3 is the only one left out, and so are exactly the 12
+    # subsequences that touch index 30 (1-based point 31)
+    assert np.setdiff1d(np.arange(1, 11), pm.segment_indices).tolist() == [3]
+    assert np.setdiff1d(np.arange(1, 110), pm.subseq_starts).tolist() == list(range(20, 32))
     assert not np.isnan(pm.dist).any()
     assert np.isfinite(pm.dist).all()
 
@@ -219,8 +218,6 @@ def reference_profile_matrix(values, m, ell=None):
         dist=dist,
         segment_indices=kept_segments + 1,
         subseq_starts=kept_subs + 1,
-        excluded_segments=np.flatnonzero(~seg_ok) + 1,
-        excluded_starts=np.flatnonzero(~sub_ok) + 1,
         m=m,
         ell=ell,
     )
@@ -275,8 +272,7 @@ def test_profile_matrix_matches_explicit_differences(name, per_chunk, monkeypatc
     for j in range(ts.d):
         got = mpdist_profile_matrix(ts.coord(j), m)
         ref = reference_profile_matrix(ts.coord(j), m)
-        for field in ("segment_indices", "subseq_starts",
-                      "excluded_segments", "excluded_starts"):
+        for field in ("segment_indices", "subseq_starts"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert np.array_equal(got.dist == 0.0, ref.dist == 0.0)
         assert np.abs(got.dist - ref.dist).max() <= 1e-12
