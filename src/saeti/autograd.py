@@ -21,7 +21,9 @@ finite logits.
 
 Conventions baked in here:
 
-* gradients accumulate across repeated ``backward()`` calls until
+* ``backward()`` frees the graph as it sweeps: a second backward through
+  it raises ``RuntimeError``, a non-leaf gradient stays only on a tensor
+  the caller holds, and leaf gradients accumulate across graphs until
   :func:`zero_grads` resets them to exact zeros;
 * convolutions take batched ``(B, C_in, L)`` input, use same-padding
   with zeros and odd kernel widths;
@@ -133,15 +135,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, grad: np.ndarray):
-        # The first write stores a copy: the same array may be handed to
-        # two parents, or still be read by the closure that made it. The
-        # copy takes the layout of ``data``, which Adam reads alongside it.
-        if self.grad is None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False):
+        # The first write keeps a ``fresh`` array, built by the backward for
+        # this parent alone, and copies any other: it may be handed to two
+        # parents, or still be read by the closure that made it. The copy
+        # takes the layout of ``data``, which Adam reads alongside it.
+        if self.grad is not None:
+            self.grad += grad
+        elif fresh:
+            self.grad = grad
+        else:
             self.grad = np.empty_like(self.data)
             self.grad[...] = grad
-        else:
-            self.grad += grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -149,7 +154,10 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep from a scalar; grads accumulate into ``.grad``."""
+        """Reverse-mode sweep from a scalar; grads accumulate into ``.grad``.
+
+        Each node drops its closure and parents once the closure has run.
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         topo: list[Tensor] = []
@@ -168,9 +176,12 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._prev:
+                node._backward, node._prev = _freed, ()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -218,9 +229,9 @@ class Tensor:
             raise ValueError("matmul expects 2-D operands; reshape first")
         def _bwd(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, fresh=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, fresh=True)
         return _node(self.data @ other.data, (self, other), _bwd)
 
     # -- shape ops ---------------------------------------------------------
@@ -236,10 +247,10 @@ class Tensor:
         return _node(self.data.transpose(axes), (self,), _bwd)
 
     def __getitem__(self, idx):
-        def _bwd(g):
-            full = np.zeros_like(self.data)
-            full[idx] = g
-            self._accumulate(full)
+        def _bwd(g):     # writes into the parent's gradient, not a full-size copy
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[idx] += g
         return _node(self.data[idx], (self,), _bwd)
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -261,6 +272,10 @@ class Tensor:
         def _bwd(g):
             self._accumulate(g / self.data)
         return _node(np.log(self.data), (self,), _bwd)
+
+
+def _freed(_g):
+    raise RuntimeError("backward() through a freed graph; run the forward again")
 
 
 def _as_tensor(x) -> Tensor:
@@ -290,7 +305,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     def _bwd(g):
-        x._accumulate(g * (x.data > 0))
+        x._accumulate(g * (x.data > 0), fresh=True)
     return _node(np.maximum(x.data, 0.0), (x,), _bwd)
 
 
@@ -299,21 +314,21 @@ def leaky_relu(x: Tensor) -> Tensor:
     # backward's arithmetic on the mask runs several times faster than np.where.
     def _bwd(g):
         keep = x.data > 0
-        x._accumulate(g * (keep + LEAKY_SLOPE * ~keep))
+        x._accumulate(g * (keep + LEAKY_SLOPE * ~keep), fresh=True)
     return _node(np.maximum(x.data, LEAKY_SLOPE * x.data), (x,), _bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = expit(x.data)
     def _bwd(g):
-        x._accumulate(g * y * (1.0 - y))
+        x._accumulate(g * y * (1.0 - y), fresh=True)
     return _node(y, (x,), _bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     def _bwd(g):
-        x._accumulate(g * (1.0 - y * y))
+        x._accumulate(g * (1.0 - y * y), fresh=True)
     return _node(y, (x,), _bwd)
 
 
@@ -378,7 +393,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             # Transposed convolution: the input gradient is the same-padded
             # convolution of g with the flipped kernel, C_in and C_out swapped.
             gx = _conv_steps(g.transpose(2, 0, 1), weight.data.transpose(1, 0, 2)[:, :, ::-1])
-            x._accumulate(gx.transpose(1, 2, 0))
+            x._accumulate(gx.transpose(1, 2, 0), fresh=True)
         gp = _pad_rows(g.transpose(0, 2, 1), kw // 2)
         if weight.requires_grad:    # output row r is padded gradient row r + pad
             rows, pad = len(gp) - kw + 1, kw // 2
@@ -412,7 +427,7 @@ def maxpool1d(x: Tensor) -> Tensor:
         np.bitwise_xor(bits, even, out=gx[..., 1:2 * half:2].view(np.uint64))
         if length % 2:
             np.add(g[..., -1], 0.0, out=gx[..., -1])
-        x._accumulate(gx)
+        x._accumulate(gx, fresh=True)
     return _node(pooled, (x,), _bwd)
 
 
@@ -439,7 +454,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         grad = e / total[:, None]
         grad[index] -= 1.0
         grad *= g
-        logits._accumulate(grad.reshape(logits.data.shape))
+        logits._accumulate(grad.reshape(logits.data.shape), fresh=True)
     return _node(np.array((np.log(total) - shifted[index]).sum()), (logits,), _bwd)
 
 
@@ -459,7 +474,7 @@ def masked_mse(pred: Tensor, target, weight_mask) -> Tensor:
         return (pred * 0.0).sum()
     diff = np.where(weight > 0, pred.data - target, 0.0)
     def _bwd(g):
-        pred._accumulate(g * 2.0 * weight * diff / count)
+        pred._accumulate(g * 2.0 * weight * diff / count, fresh=True)
     return _node(np.array((weight * diff * diff).sum() / count), (pred,), _bwd)
 
 
@@ -552,7 +567,7 @@ def gru_forward(xs: Tensor, params: GRUParams) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(grad)
         if xs.requires_grad:
-            xs._accumulate((flat @ w.T).reshape(steps, batch, n_in))
+            xs._accumulate((flat @ w.T).reshape(steps, batch, n_in), fresh=True)
     return _node(hs[1:], (xs, *gate_tensors), _bwd)
 
 

@@ -103,8 +103,11 @@ def find_snippets(values: np.ndarray, m: int, k: int,
 
     # Most-attracting segments first. Rows are in ascending segment order,
     # and argmin and the stable sorts keep the first of equals, so every
-    # tie goes to the smaller index.
-    counts = np.bincount(np.argmin(profile.dist, axis=0), minlength=n_segments)
+    # tie goes to the smaller index. argmin over axis 0 would copy all of
+    # dist to reduce it; 1024 columns at a time copy one block.
+    closest = [np.argmin(profile.dist[:, lo:lo + 1024], axis=0)
+               for lo in range(0, profile.dist.shape[1], 1024)]
+    counts = np.bincount(np.concatenate(closest), minlength=n_segments)
     chosen = np.argsort(-counts, kind="stable")[:k]
     # Every subsequence then belongs to its nearest chosen segment, so
     # the ranks partition the retained subsequences and the fracs sum to

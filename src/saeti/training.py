@@ -257,6 +257,7 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
             opt.step()
             total += loss.item() * weight
             count += weight
+            del loss    # so the next batch's forward runs with no graph alive
         train_loss = total / count
         _check_finite(train_loss, "training loss", epoch)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,46 @@ def test_gradients_accumulate_until_zeroed():
     assert t.grad == 6.0
     ag.zero_grads([t])
     assert t.grad is None
+
+
+def test_backward_frees_the_activations_the_caller_does_not_hold():
+    x = ag.Tensor(np.linspace(-1.0, 1.0, 12).reshape(4, 3), requires_grad=True)
+    w = ag.Tensor(np.full((3, 2), 0.5), requires_grad=True)
+
+    def forward():
+        hidden = ag.tanh(x @ w)
+        return weakref.ref(hidden.data), (hidden * hidden).sum()
+
+    activation, loss = forward()
+    assert activation() is not None          # the graph holds it until backward
+    loss.backward()
+    assert activation() is None
+    assert x.grad is not None and w.grad is not None
+
+
+def test_second_backward_through_a_freed_graph_raises():
+    x = ag.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = x * 3.0
+    loss = (h * h).sum()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+    np.testing.assert_array_equal(h.grad, [6.0, 12.0])   # held, so it keeps its gradient
+    with pytest.raises(RuntimeError, match="freed graph"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="freed graph"):
+        (h * 2.0).sum().backward()           # a new graph on a node of the freed one
+    np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+    (x * 2.0).sum().backward()               # a leaf still accumulates across graphs
+    np.testing.assert_array_equal(x.grad, [20.0, 38.0])
+
+
+def test_slices_write_into_the_parent_gradient():
+    x = ag.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    s = x * 1.0
+    loss = (s[:, :2] * 2.0).sum() + (s[:, 1:] * 3.0).sum() + s[1].sum() + s[-1][0]
+    loss.backward()
+    np.testing.assert_array_equal(s.grad, [[2.0, 5.0, 3.0], [4.0, 6.0, 4.0]])
+    np.testing.assert_array_equal(x.grad, s.grad)
 
 
 def test_adam_first_step_oracle():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,38 @@ def test_find_snippets_tie_goes_to_earlier_segment():
     sset = find_snippets(x, 8, 2)
     assert sset.items[0].index == 1 and sset.items[0].frac == 1.0
     assert (sset.ranks == 0).all()
+
+
+def test_ties_go_to_the_earlier_segment_across_column_blocks():
+    # 2 393 columns: the argmin runs over three column blocks
+    x = np.tile(np.sin(np.arange(8.0)), 300)
+    assert (mpdist_profile_matrix(x, 8).dist == 0.0).all()
+    sset = find_snippets(x, 8, 3)
+    assert [s.index for s in sset.items] == [1, 2, 3] and sset.items[0].frac == 1.0
+    assert (sset.ranks == 0).all()
+
+
+def test_find_snippets_reduces_the_distance_matrix_without_copying_it():
+    """The traced peak of find_snippets stays below 1.8 x ``dist.nbytes``.
+
+    Calibrated at n = 10 000, m = 32 (a 312 x 9 969 matrix, 24.9 MB): the
+    matrix build peaks at 1.60 x, and an argmin over axis 0 of the whole
+    matrix, which copies it, took the peak to 2.01 x.
+    """
+    rng = np.random.default_rng(5)
+    t = np.arange(10_000)
+    x = np.sin(2 * np.pi * t / (17 + 10 * ((t // 500) % 3))) + 0.1 * rng.normal(size=t.size)
+    dist = mpdist_profile_matrix(x, 32).dist
+    closest = np.argmin(dist, axis=0)
+    tracemalloc.start()
+    try:
+        sset = find_snippets(x, 32, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * dist.nbytes, (peak, dist.nbytes)
+    chosen = np.argsort(-np.bincount(closest, minlength=dist.shape[0]), kind="stable")[:3]
+    assert sorted(s.index for s in sset.items) == sorted(chosen + 1)
 
 
 def test_k_validation():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,60 @@ def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatc
     monkeypatch.setattr(autograd, "glorot_uniform", refuse)
     save_bundle(load_bundle(path), again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_fit_holds_one_graph_at_a_time():
+    """Three steps of ``_fit`` peak below 1.5 x one forward plus backward.
+
+    Calibrated on a chain of three 32-wide tanh layers over 256 rows
+    (tracemalloc, numpy's allocations): one forward plus backward peaks at
+    0.66 MB and the three steps at 1.17 x that. When each step's graph
+    stayed alive into the next forward and backward freed nothing, the
+    ratio was 1.69 (1.01 MB for the single step).
+    """
+    rng = np.random.default_rng(3)
+    rows, width = 256, 32
+    x = rng.normal(size=(3 * rows, width))
+    target = rng.normal(size=(rows, width))
+    everywhere = np.ones((rows, width))
+
+    class Chain:
+        def __init__(self):
+            self.weights = [autograd.init_weight((width, width), rng) for _ in range(3)]
+
+        def parameters(self):
+            return [(f"w{i}", w) for i, w in enumerate(self.weights)]
+
+        def forward(self, inputs):
+            h = autograd.Tensor(inputs)
+            for w in self.weights:
+                h = autograd.tanh(h @ w)
+            return h
+
+    model = Chain()
+
+    def batch_loss(batch):
+        return autograd.masked_mse(model.forward(x[batch]), target, everywhere), 1.0
+
+    def validate():
+        return autograd.masked_mse(model.forward(x[:rows]), target, everywhere).item(), None
+
+    def traced_peak(run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+
+    config = TrainConfig(m=16, k=2, batch_size=rows, max_epochs=1)
+    tracemalloc.start()
+    try:
+        one = traced_peak(lambda: batch_loss(np.arange(rows))[0].backward())
+        autograd.zero_grads([w for _, w in model.parameters()])
+        fit = traced_peak(lambda: training._fit(model, config, np.random.default_rng(0),
+                                                np.arange(3 * rows), batch_loss, validate))
+    finally:
+        tracemalloc.stop()
+    assert fit < 1.5 * one, (fit, one)
 
 
 def test_training_determinism(norm_and_sets):
