@@ -34,6 +34,7 @@ Conventions baked in here:
   sigmoid update/reset gates, a tanh candidate and a zero initial state;
 * parameters initialize uniform(-a, a) with ``a = sqrt(6 / (fan_in +
   fan_out))``, biases at zero, from a caller-supplied seeded generator;
+  with none, every parameter is a read-only zero placeholder;
 * Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 """
 
@@ -247,11 +248,16 @@ class Tensor:
         return _node(self.data.transpose(axes), (self,), _bwd)
 
     def __getitem__(self, idx):
+        out = self.data[idx]
+        view = np.may_share_memory(out, self.data)   # basic indexing: no repeats
         def _bwd(g):     # writes into the parent's gradient, not a full-size copy
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            self.grad[idx] += g
-        return _node(self.data[idx], (self,), _bwd)
+            if view:
+                self.grad[idx] += g
+            else:        # an index array may repeat a position: add every share
+                np.add.at(self.grad, idx, g)
+        return _node(out, (self,), _bwd)
 
     def sum(self, axis=None, keepdims: bool = False):
         def _bwd(g):
@@ -494,7 +500,7 @@ class GRUParams:
         for gate in self.GATES:
             setattr(self, f"w_{gate}", init_weight((input_size, hidden_size), rng))
             setattr(self, f"u_{gate}", init_weight((hidden_size, hidden_size), rng))
-            setattr(self, f"b_{gate}", Tensor(np.zeros(hidden_size), requires_grad=True))
+            setattr(self, f"b_{gate}", init_weight(hidden_size, rng, glorot=False))
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [
@@ -591,11 +597,13 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
 
 
-def init_weight(shape: tuple[int, ...], rng: np.random.Generator | None) -> Tensor:
-    """A glorot-uniform weight, or zeros with no draw when ``rng`` is None (a loader fills it)."""
+def init_weight(shape, rng: np.random.Generator | None, glorot: bool = True) -> Tensor:
+    """A glorot-uniform weight, or zeros (a bias) without ``glorot``. With no
+    ``rng`` it is a read-only zero placeholder that draws nothing and takes no
+    memory, for a loader to replace with its own array."""
     if rng is None:
-        return Tensor(np.zeros(shape), requires_grad=True)
-    return glorot_uniform(shape, rng)
+        return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+    return glorot_uniform(shape, rng) if glorot else Tensor(np.zeros(shape), requires_grad=True)
 
 
 class Adam:

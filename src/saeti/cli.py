@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -139,8 +140,8 @@ def cmd_generate_gaps(args: argparse.Namespace) -> None:
 
 
 def _default_mask_path(output: str) -> str:
-    root, ext = output.rsplit(".", 1) if "." in output else (output, "csv")
-    return f"{root}.mask.{ext}"
+    root, ext = os.path.splitext(output)
+    return f"{root}.mask{ext or '.csv'}"
 
 
 def cmd_impute(args: argparse.Namespace) -> None:

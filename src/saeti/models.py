@@ -12,6 +12,7 @@ prepares windows with :func:`model_inputs` and runs through :func:`infer`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,26 +46,49 @@ ENCODER_FILTERS = (128, 64, 32)
 DECODER_FILTERS = (64, 128)
 
 
-class _Conv:
-    """Weight/bias pair for one same-padded convolution."""
-
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None):
-        self.weight = init_weight((c_out, c_in, KERNEL), rng)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+# One weight/bias pair: a same-padded convolution or a dense layer.
+_Layer = namedtuple("_Layer", "weight bias")
 
 
-class _Dense:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
-        self.weight = init_weight((n_in, n_out), rng)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
+class _Registry:
+    """Builds layers by name and records their tensors in creation order.
+
+    The record is a model's parameter list: the names and order of its
+    bundle blocks and the order of its glorot draws from ``seed`` (biases
+    draw nothing). With ``seed=None`` every tensor is a read-only zero
+    placeholder that draws nothing and takes no memory.
+    """
+
+    def __init__(self, seed: int | None):
+        self.rng = None if seed is None else np.random.default_rng(seed)
+        self.named: list[tuple[str, Tensor]] = []
+
+    def _pair(self, name: str, shape: tuple[int, ...], width: int) -> _Layer:
+        layer = _Layer(init_weight(shape, self.rng), init_weight(width, self.rng, glorot=False))
+        self.named += [(f"{name}.weight", layer.weight), (f"{name}.bias", layer.bias)]
+        return layer
+
+    def conv(self, name: str, c_in: int, c_out: int) -> _Layer:
+        return self._pair(name, (c_out, c_in, KERNEL), c_out)
+
+    def convs(self, prefix: str, chans: tuple[int, ...]) -> tuple[_Layer, ...]:
+        """A stack ``{prefix}conv1``, ``conv2``, ... between successive channel counts."""
+        return tuple(self.conv(f"{prefix}conv{j}", c_in, c_out)
+                     for j, (c_in, c_out) in enumerate(zip(chans, chans[1:]), start=1))
+
+    def dense(self, name: str, n_in: int, n_out: int) -> _Layer:
+        return self._pair(name, (n_in, n_out), n_out)
+
+    def gru(self, name: str, n_in: int, hidden: int) -> GRUParams:
+        gru = GRUParams(n_in, hidden, self.rng)
+        self.named += [(f"{name}.{n}", t) for n, t in gru.tensors()]
+        return gru
 
 
-def _conv_size(c_in: int, c_out: int) -> int:
-    return c_out * c_in * KERNEL + c_out
-
-
-def _gru_size(n_in: int, hidden: int) -> int:
-    return 3 * (n_in * hidden + hidden * hidden + hidden)
+class _Model:
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        """Every ``(name, tensor)``, in the order the constructor made them."""
+        return list(self._named)
 
 
 def model_inputs(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -86,13 +110,14 @@ def infer(forward, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
     return np.concatenate([o.data if isinstance(o, Tensor) else o for o in outs])
 
 
-class RecognizerModel:
+class RecognizerModel(_Model):
     """Classify each coordinate of a window into one of k snippet ranks.
 
     Three convolution/pool stages shrink the window, a GRU reads what is
     left of the sequence, and a dense head emits per-coordinate class
-    logits, which :func:`autograd.cross_entropy` scores directly. ``seed=None``
-    leaves the weights at zero, drawing nothing.
+    logits, which :func:`autograd.cross_entropy` scores directly. With
+    ``seed=None`` every parameter is a read-only zero placeholder that
+    draws nothing, for a loader to replace.
     """
 
     def __init__(self, d: int, m: int, k: int, seed: int | None = 0):
@@ -100,13 +125,11 @@ class RecognizerModel:
         self.d = d
         self.m = m
         self.k = k
-        rng = None if seed is None else np.random.default_rng(seed)
-        f1, f2, f3 = RECOGNIZER_FILTERS
-        self.conv1 = _Conv(d, f1, rng)
-        self.conv2 = _Conv(f1, f2, rng)
-        self.conv3 = _Conv(f2, f3, rng)
-        self.gru = GRUParams(f3, RECOGNIZER_HIDDEN, rng)
-        self.head = _Dense(RECOGNIZER_HIDDEN, d * k, rng)
+        reg = _Registry(seed)
+        self.conv1, self.conv2, self.conv3 = reg.convs("", (d,) + RECOGNIZER_FILTERS)
+        self.gru = reg.gru("gru", RECOGNIZER_FILTERS[-1], RECOGNIZER_HIDDEN)
+        self.head = reg.dense("head", RECOGNIZER_HIDDEN, d * k)
+        self._named = reg.named
 
     @staticmethod
     def check_sizes(d: int, m: int, k: int) -> None:
@@ -115,23 +138,6 @@ class RecognizerModel:
             raise ValueError(f"window too short for three pools: m={m} < 8")
         if d < 1 or k < 1:
             raise ValueError("d and k must be positive")
-
-    @staticmethod
-    def size(d: int, k: int) -> int:
-        """Number of parameter values in a model for d coordinates and k classes."""
-        chans = (d,) + RECOGNIZER_FILTERS
-        return (sum(_conv_size(a, b) for a, b in zip(chans, chans[1:]))
-                + _gru_size(chans[-1], RECOGNIZER_HIDDEN) + (RECOGNIZER_HIDDEN + 1) * d * k)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = []
-        for i, conv in enumerate((self.conv1, self.conv2, self.conv3), start=1):
-            named.append((f"conv{i}.weight", conv.weight))
-            named.append((f"conv{i}.bias", conv.bias))
-        named.extend((f"gru.{n}", t) for n, t in self.gru.tensors())
-        named.append(("head.weight", self.head.weight))
-        named.append(("head.bias", self.head.bias))
-        return named
 
     def forward(self, x: np.ndarray) -> Tensor:
         """Map (B, d, m) windows to (B, d, k) class logits."""
@@ -155,14 +161,15 @@ def default_latent(d: int, m: int) -> int:
     return math.ceil(d * m / 4)
 
 
-class ReconstructorModel:
+class ReconstructorModel(_Model):
     """Autoencode windows paired with their matched snippet.
 
     The input carries two channels per coordinate (window values with
     -1 at gaps, and the snippet suggested for that window); the output
     is a sigmoid reconstruction of the window itself. Encoding funnels
     per-coordinate conv stacks into a GRU and a dense bottleneck;
-    decoding mirrors it back. ``seed=None`` leaves the weights at zero.
+    decoding mirrors it back. With ``seed=None`` every parameter is a
+    read-only zero placeholder that draws nothing.
     """
 
     def __init__(self, d: int, m: int, latent: int | None = None, seed: int | None = 0):
@@ -170,21 +177,16 @@ class ReconstructorModel:
         self.d = d
         self.m = m
         self.latent = z
-        rng = None if seed is None else np.random.default_rng(seed)
-        e1, e2, e3 = ENCODER_FILTERS
-        self.encoders = [
-            (_Conv(2, e1, rng), _Conv(e1, e2, rng), _Conv(e2, e3, rng))
-            for _ in range(d)
-        ]
-        self.enc_gru = GRUParams(e3 * d, m, rng)
-        self.to_latent = _Dense(m, z, rng)
-        self.from_latent = _Dense(z, m * m, rng)
-        self.dec_gru = GRUParams(m, e3 * d, rng)
-        d1, d2 = DECODER_FILTERS
-        self.decoders = [
-            (_Conv(e3, d1, rng), _Conv(d1, d2, rng), _Conv(d2, 1, rng))
-            for _ in range(d)
-        ]
+        reg = _Registry(seed)
+        self.encoders = [reg.convs(f"enc{i}.", (2,) + ENCODER_FILTERS) for i in range(d)]
+        width = ENCODER_FILTERS[-1] * d
+        self.enc_gru = reg.gru("enc_gru", width, m)
+        self.to_latent = reg.dense("to_latent", m, z)
+        self.from_latent = reg.dense("from_latent", z, m * m)
+        self.dec_gru = reg.gru("dec_gru", m, width)
+        dec = ENCODER_FILTERS[-1:] + DECODER_FILTERS + (1,)
+        self.decoders = [reg.convs(f"dec{i}.", dec) for i in range(d)]
+        self._named = reg.named
 
     @staticmethod
     def latent_size(d: int, m: int, latent: int | None = None) -> int:
@@ -197,35 +199,6 @@ class ReconstructorModel:
         if z < 1:
             raise ValueError("latent size must be positive")
         return z
-
-    @staticmethod
-    def size(d: int, m: int, latent: int) -> int:
-        """Number of parameter values in a model of these sizes."""
-        enc = (2,) + ENCODER_FILTERS
-        dec = ENCODER_FILTERS[-1:] + DECODER_FILTERS + (1,)
-        convs = (sum(_conv_size(a, b) for a, b in zip(enc, enc[1:]))
-                 + sum(_conv_size(a, b) for a, b in zip(dec, dec[1:])))
-        width = ENCODER_FILTERS[-1] * d
-        return (d * convs + _gru_size(width, m) + _gru_size(m, width)
-                + (m + 1) * latent + (latent + 1) * m * m)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = []
-        for i, stack in enumerate(self.encoders):
-            for j, conv in enumerate(stack, start=1):
-                named.append((f"enc{i}.conv{j}.weight", conv.weight))
-                named.append((f"enc{i}.conv{j}.bias", conv.bias))
-        named.extend((f"enc_gru.{n}", t) for n, t in self.enc_gru.tensors())
-        named.append(("to_latent.weight", self.to_latent.weight))
-        named.append(("to_latent.bias", self.to_latent.bias))
-        named.append(("from_latent.weight", self.from_latent.weight))
-        named.append(("from_latent.bias", self.from_latent.bias))
-        named.extend((f"dec_gru.{n}", t) for n, t in self.dec_gru.tensors())
-        for i, stack in enumerate(self.decoders):
-            for j, conv in enumerate(stack, start=1):
-                named.append((f"dec{i}.conv{j}.weight", conv.weight))
-                named.append((f"dec{i}.conv{j}.bias", conv.bias))
-        return named
 
     def encode(self, x: np.ndarray) -> Tensor:
         """Compress (B, d, 2, m) window/snippet pairs to (B, latent)."""

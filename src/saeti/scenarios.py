@@ -59,21 +59,20 @@ def gen_blackout(ts: TimeSeries, length: int,
     return _with_hidden(ts, hidden), hidden
 
 
-def gen_mcar(ts: TimeSeries, rate: float,
-             rng: np.random.Generator | int | None = None,
-             block_len: int = MCAR_BLOCK_LEN) -> tuple[TimeSeries, np.ndarray]:
+def gen_mcar(ts: TimeSeries, rate: float, rng: np.random.Generator | int | None = None,
+             ) -> tuple[TimeSeries, np.ndarray]:
     """Scatter short single-coordinate blocks until ``rate`` is reached.
 
     Each draw picks a coordinate and a start uniformly and hides the
-    observed points of one ``block_len`` stretch there; draws repeat
+    observed points of one ``MCAR_BLOCK_LEN`` stretch there; draws repeat
     until the total missing fraction (old gaps plus new) is at least
     ``rate``.
     """
     rng = np.random.default_rng(rng)
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must be in (0, 1)")
-    if block_len > ts.n:
-        raise ValueError(f"block length {block_len} exceeds n={ts.n}")
+    if MCAR_BLOCK_LEN > ts.n:
+        raise ValueError(f"block length {MCAR_BLOCK_LEN} exceeds n={ts.n}")
     hidden = np.zeros_like(ts.mask)
     budget = int(ts.mask.sum())
     already = ts.mask.size - budget
@@ -83,9 +82,9 @@ def gen_mcar(ts: TimeSeries, rate: float,
         if n_hidden >= budget:
             raise ValueError(f"cannot reach missing rate {rate}: no observed points left")
         j = int(rng.integers(ts.d))
-        s = int(rng.integers(ts.n - block_len + 1))
-        fresh = ts.mask[s:s + block_len, j] & ~hidden[s:s + block_len, j]
-        hidden[s:s + block_len, j] |= fresh
+        s = int(rng.integers(ts.n - MCAR_BLOCK_LEN + 1))
+        fresh = ts.mask[s:s + MCAR_BLOCK_LEN, j] & ~hidden[s:s + MCAR_BLOCK_LEN, j]
+        hidden[s:s + MCAR_BLOCK_LEN, j] |= fresh
         n_hidden += int(fresh.sum())
     return _with_hidden(ts, hidden), hidden
 

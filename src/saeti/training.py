@@ -425,8 +425,8 @@ def load_bundle(path) -> ModelBundle:
     """Read a bundle back; anything malformed raises ``ValueError``.
 
     The config must name ``d`` distinct coordinates, the arrays the header
-    lists must be exactly those its config implies, every value must be
-    finite, and the file must end with the last block.
+    lists must be exactly those of a bundle built from its config, every
+    value must be finite, and the file must end with the last block.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -467,32 +467,33 @@ def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
     ell = _inner_window(cfg["ell"], m)
     RecognizerModel.check_sizes(d, m, k)
     latent = ReconstructorModel.latent_size(d, m, cfg["latent"])
-    # The file size is checked against the config before anything is
-    # allocated, so a small file cannot ask for a huge model.
-    expected = 8 * (2 * d + d * k * m + RecognizerModel.size(d, k)
-                    + ReconstructorModel.size(d, m, latent))
+    # A bundle of zero placeholders built from the config fixes the byte
+    # count and the header, so a small file cannot ask for a huge model.
+    bundle = ModelBundle(
+        names=names, norm=NormParams(mins=np.zeros(d), maxs=np.zeros(d)),
+        snippets=np.broadcast_to(0.0, (d, k, m)), ell=ell,
+        recognizer=RecognizerModel(d, m, k, seed=None),
+        reconstructor=ReconstructorModel(d, m, latent=latent, seed=None),
+        seed=seed)
+    arrays = _arrays(bundle)
+    expected = 8 * sum(a.size for _, a in arrays)
     if len(blob) - offset < expected:
         raise ValueError(f"truncated bundle: {len(blob) - offset} bytes of arrays, "
                          f"its config implies {expected}")
     if len(blob) - offset > expected:
         raise ValueError("bundle has trailing bytes")
-    # The blocks are read into the zeroed arrays of a bundle built from the
-    # config; its models draw no initial values.
-    bundle = ModelBundle(
-        names=names, norm=NormParams(mins=np.zeros(d), maxs=np.zeros(d)),
-        snippets=np.zeros((d, k, m)), ell=ell,
-        recognizer=RecognizerModel(d, m, k, seed=None),
-        reconstructor=ReconstructorModel(d, m, latent=latent, seed=None),
-        seed=seed)
-    arrays = _arrays(bundle)
     if header["arrays"] != [[name, list(a.shape)] for name, a in arrays]:
         raise ValueError("bundle arrays do not match its config")
+    blocks = []
     for name, a in arrays:
         block = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset)
         if not np.isfinite(block).all():
             raise ValueError(f"bundle block {name} holds non-finite values")
-        a[...] = block.reshape(a.shape)
+        blocks.append(block.reshape(a.shape).astype(float))
         offset += 8 * a.size
-    # Rebuilt so NormParams checks the loaded values (min <= max).
-    bundle.norm = NormParams(mins=bundle.norm.mins, maxs=bundle.norm.maxs)
+    mins, maxs, bundle.snippets, *weights = blocks
+    tensors = bundle.recognizer.parameters() + bundle.reconstructor.parameters()
+    for (_, p), data in zip(tensors, weights):
+        p.data = data
+    bundle.norm = NormParams(mins=mins, maxs=maxs)   # checks min <= max
     return bundle

@@ -293,6 +293,17 @@ def test_slices_write_into_the_parent_gradient():
     np.testing.assert_array_equal(x.grad, s.grad)
 
 
+def test_a_repeated_index_adds_every_share_of_the_gradient():
+    t = ag.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    ag.masked_mse(t[np.array([0, 0, 2])], np.zeros(3), np.ones(3)).backward()
+    np.testing.assert_allclose(t.grad, [4.0 / 3.0, 0.0, 2.0])
+    rng = np.random.default_rng(8)
+    rows = np.array([2, 0, 2, 2, 1])
+    weight = rng.normal(size=(5, 2))
+    check_grads(lambda x: ((x[rows, 1:] * weight) ** 2).sum() + x[rows][:, 0].sum(),
+                [rng.normal(size=(3, 3))])
+
+
 def test_adam_first_step_oracle():
     # with bias correction the very first step is lr * g / (|g| + eps)
     p = ag.Tensor(np.array([1.0, -2.0]), requires_grad=True)

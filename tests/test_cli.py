@@ -405,6 +405,18 @@ def test_mcar_scenario_via_cli(tmp_path):
     assert (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("output, mask", [("run.v2/gapped", "run.v2/gapped.mask.csv"),
+                                          ("run.v2/gapped.csv", "run.v2/gapped.mask.csv")])
+def test_default_mask_path_takes_the_extension_from_the_file_name(tmp_path, output, mask):
+    write_csv(two_regime_series(n=400, block=100), tmp_path / "x.csv")
+    (tmp_path / "run.v2").mkdir()
+    rc = main(["generate-gaps", "--input", str(tmp_path / "x.csv"),
+               "--output", str(tmp_path / output), "--scenario", "mcar", "--seed", "3"])
+    assert rc == 0
+    assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == sorted(
+        [Path(output).name, Path(mask).name])
+
+
 def _cli_with_blas_threads(argv, threads):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
     proc = subprocess.run(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,11 +137,25 @@ def test_gradients_reach_every_parameter():
         assert np.any(p.grad != 0), name
 
 
+def test_unseeded_models_are_free_zero_placeholders():
+    tracemalloc.start()
+    try:
+        recog = RecognizerModel(4, 1000, 3, seed=None)
+        recon = ReconstructorModel(4, 1000, seed=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20   # seeded, from_latent alone would hold 8 GB
+    for _, p in recog.parameters() + recon.parameters():
+        assert not p.data.any() and not p.data.flags.writeable
+
+
 @pytest.mark.parametrize("d, m, k, latent", [(1, 8, 1, 1), (2, 16, 2, None), (3, 9, 5, 7),
                                              (4, 32, 3, None)])
-def test_size_counts_every_parameter_value(d, m, k, latent):
-    recog = RecognizerModel(d, m, k)
-    assert RecognizerModel.size(d, k) == sum(p.data.size for _, p in recog.parameters())
-    recon = ReconstructorModel(d, m, latent=latent)
-    assert (ReconstructorModel.size(d, m, recon.latent)
-            == sum(p.data.size for _, p in recon.parameters()))
+def test_unseeded_models_list_the_seeded_names_and_shapes(d, m, k, latent):
+    def layout(model):
+        return [(name, p.shape) for name, p in model.parameters()]
+
+    assert layout(RecognizerModel(d, m, k, seed=None)) == layout(RecognizerModel(d, m, k))
+    assert (layout(ReconstructorModel(d, m, latent=latent, seed=None))
+            == layout(ReconstructorModel(d, m, latent=latent)))

@@ -106,6 +106,8 @@ def test_mcar_rate_validation():
         gen_mcar(ts, 0.0, 0)
     with pytest.raises(ValueError):
         gen_mcar(ts, 1.0, 0)
+    with pytest.raises(ValueError, match="block length 10 exceeds n=9"):
+        gen_mcar(full_series(n=9), 0.2, 0)
 
 
 def test_ts_nbr_single_coordinate_block():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from conftest import two_regime_series
 from saeti import autograd, models, training
 from saeti.autograd import no_grad
-from saeti.core_ts import TimeSeries, minmax_normalize, split_nonoverlapping
+from saeti.core_ts import NormParams, TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
 from saeti.scenarios import gen_mcar
 from saeti.snippets import find_all_snippets, snippet_values
@@ -263,6 +264,17 @@ def test_train_bundle_rejects_sets_found_with_gaps_elsewhere(norm_and_sets, monk
         train_bundle(ts_norm, norm, other, TrainConfig(m=16, k=2))
 
 
+def test_untrained_bundle_bytes_are_pinned(tmp_path):
+    """A reordered, renamed or reshaped parameter, or a reordered draw, changes the file."""
+    bundle = ModelBundle(names=("a", "b"), norm=NormParams(mins=np.zeros(2), maxs=np.ones(2)),
+                         snippets=np.arange(64.0).reshape(2, 2, 16) / 64, ell=8,
+                         recognizer=RecognizerModel(2, 16, 2, seed=11),
+                         reconstructor=ReconstructorModel(2, 16, seed=11), seed=11)
+    save_bundle(bundle, tmp_path / "untrained.bundle")
+    digest = hashlib.sha256((tmp_path / "untrained.bundle").read_bytes()).hexdigest()
+    assert digest == "2d1beb532512fcd46ea9a838478129a9491dc762bee8069d7e2518e873ac0deb"
+
+
 def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatch):
     ts_norm, norm, sets = norm_and_sets
     bundle, _, _ = train_bundle(ts_norm, norm, sets, TrainConfig(m=16, k=2, seed=3, max_epochs=1))
@@ -273,8 +285,13 @@ def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatc
         raise AssertionError("load_bundle drew an initial value it then overwrites")
 
     monkeypatch.setattr(autograd, "glorot_uniform", refuse)
-    save_bundle(load_bundle(path), again)
+    loaded = load_bundle(path)
+    save_bundle(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+    # Every block is a fresh array of its own, not a placeholder or a view of the file.
+    arrays = [loaded.snippets] + [p.data for model in (loaded.recognizer, loaded.reconstructor)
+                                  for _, p in model.parameters()]
+    assert all(a.flags.writeable and a.flags.owndata for a in arrays)
 
 
 def test_fit_holds_one_graph_at_a_time():
