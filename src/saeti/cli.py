@@ -244,6 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every output lands in an existing directory, or nothing runs.
+        for key in ("output", "history", "mask_output", "report"):
+            path = getattr(args, key, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"{path}: no such directory")
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Multivariate time-series container, masking, normalization and windowing.
 
 A series is an ``(n, d)`` float matrix: row ``i`` is the vector of all
-coordinates at time step ``i``, column ``j`` is one coordinate. Missing
-points are tracked with a boolean mask (``True`` = observed) and stored
-as NaN so that accidental reads of missing cells surface immediately.
+coordinates at time step ``i``, column ``j`` is one coordinate. A missing
+point is a NaN cell and nothing else: the observed mask (``True`` =
+observed) is derived from the values, so the two cannot disagree, and an
+accidental read of a missing cell surfaces as NaN.
 
 Positions in user-facing structures (subsequence starts, reports, mask
 CSVs) are 1-based; internal array indexing is 0-based.
@@ -12,7 +13,7 @@ CSVs) are 1-based; internal array indexing is 0-based.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,52 +41,42 @@ def _check_distinct(names: tuple[str, ...], where: str = "") -> None:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """An ``(n, d)`` real matrix with an observed-point mask.
+    """An ``(n, d)`` real matrix whose NaN cells are its gaps.
 
     Parameters
     ----------
-    values : ndarray, shape (n, d)
-        Data matrix; cells where ``mask`` is False are stored as NaN.
-    mask : ndarray of bool, shape (n, d)
-        True where the point is observed.
+    values : array_like, shape (n, d) or (n,)
+        Data matrix, copied; NaN marks a missing point, every other cell
+        must be finite.
     names : tuple of str
         One distinct name per coordinate (CSV header).
+
+    ``mask`` (True where observed) is derived from ``values`` once.
     """
 
     values: np.ndarray
-    mask: np.ndarray
     names: tuple[str, ...] = ()
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
-        if self.mask is None:
-            mask = ~np.isnan(values)
-        else:
-            mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} != values shape {values.shape}"
-            )
         names = tuple(self.names) if self.names else tuple(
             f"c{j + 1}" for j in range(values.shape[1])
         )
         if len(names) != values.shape[1]:
             raise ValueError("one name per coordinate required")
         _check_distinct(names)
-        bad = mask & ~np.isfinite(values)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        infinite = np.isinf(values)
+        if infinite.any():
+            i, j = np.argwhere(infinite)[0]
             raise ValueError(
                 f"non-finite observed value {float(values[i, j])!r} at row {i + 1}, "
                 f"column {j + 1} ({names[j]})"
             )
-        # Missing cells are never read: poison them with NaN.
-        values = values.copy()
-        values[~mask] = np.nan
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask.copy())
+        object.__setattr__(self, "mask", ~np.isnan(values))
         object.__setattr__(self, "names", names)
 
     @property
@@ -106,11 +97,8 @@ class TimeSeries:
 
     @classmethod
     def from_values(cls, values, names: Sequence[str] = ()) -> "TimeSeries":
-        """Build a series from a matrix where NaN marks missing points."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values.reshape(-1, 1)
-        return cls(values=values, mask=~np.isnan(values), names=tuple(names))
+        """The same as ``TimeSeries(values, names)``."""
+        return cls(values, names)
 
 
 @dataclass(frozen=True)
@@ -139,8 +127,7 @@ def minmax_normalize(ts: TimeSeries) -> tuple[TimeSeries, NormParams]:
     """Rescale every coordinate to [0, 1] over its observed points.
 
     A constant coordinate (max == min) maps every observed value to 0.5,
-    keeping it centered in the model input range. Missing points pass
-    through untouched; the mask is preserved bit-exactly.
+    keeping it centered in the model input range. Missing points stay NaN.
 
     Raises
     ------
@@ -171,14 +158,9 @@ def apply_normalization(ts: TimeSeries, params: NormParams) -> TimeSeries:
     if params.d != ts.d:
         raise ValueError(f"params have d={params.d}, series has d={ts.d}")
     span = params.maxs - params.mins
-    out = ts.values.copy()
-    for j in range(ts.d):
-        col = ts.mask[:, j]
-        if span[j] == 0.0:
-            out[col, j] = 0.5
-        else:
-            out[col, j] = (ts.values[col, j] - params.mins[j]) / span[j]
-    return TimeSeries(values=out, mask=ts.mask, names=ts.names)
+    out = np.where(ts.mask, 0.5, np.nan)
+    np.divide(ts.values - params.mins, span, out=out, where=span > 0)
+    return TimeSeries(out, ts.names)
 
 
 def denormalize(ts_norm: TimeSeries, params: NormParams) -> TimeSeries:
@@ -186,14 +168,9 @@ def denormalize(ts_norm: TimeSeries, params: NormParams) -> TimeSeries:
     if params.d != ts_norm.d:
         raise ValueError(f"params have d={params.d}, series has d={ts_norm.d}")
     span = params.maxs - params.mins
-    out = ts_norm.values.copy()
-    for j in range(ts_norm.d):
-        col = ts_norm.mask[:, j]
-        if span[j] == 0.0:
-            out[col, j] = params.mins[j]
-        else:
-            out[col, j] = ts_norm.values[col, j] * span[j] + params.mins[j]
-    return TimeSeries(values=out, mask=ts_norm.mask, names=ts_norm.names)
+    # Not branch-free: v * 0 + min turns a constant -0.0 coordinate into +0.0.
+    out = np.where(span > 0, ts_norm.values * span + params.mins, params.mins)
+    return TimeSeries(np.where(ts_norm.mask, out, np.nan), ts_norm.names)
 
 
 def window_starts(n: int, m: int) -> np.ndarray:
@@ -267,7 +244,7 @@ def read_csv(path) -> TimeSeries:
         lineno = [k for k, row in enumerate(rows, start=2) if row][i]
         raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
                          f"non-finite value {float(values[i, j])!r}")
-    return TimeSeries.from_values(values, names=names)
+    return TimeSeries(values, names)
 
 
 def _raise_first_fault(path, names: tuple[str, ...], rows: list[list[str]]) -> None:

@@ -5,8 +5,9 @@ series, with missing points filled with -1 so gaps sit outside the
 observed [0, 1] range. Shapes follow the (batch, coordinate, time)
 convention throughout; conv activations lie (time, batch, channel) in
 memory behind it, so the hand-offs to and from the GRUs need no
-transposing copy. Every inference, in training and in imputation,
-prepares windows with :func:`model_inputs` and runs through :func:`infer`.
+transposing copy. Every inference prepares windows with
+:func:`model_inputs` and runs through :func:`infer`, except validation:
+it stays one forward over all its windows, as batches would change its bits.
 """
 
 from __future__ import annotations

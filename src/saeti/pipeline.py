@@ -12,7 +12,9 @@ Predictions are written in window order and overlapping tail coverage
 follows first-writer-wins, so each missing cell is predicted exactly
 once. The cells each window will write are known before the models
 run, and the reconstructor decodes a window's coordinate only where
-that window writes a cell of it.
+that window writes a cell of it. The same input gives the same bytes,
+but a gap window's last bits can depend on how many gap windows share
+its batch.
 """
 
 from __future__ import annotations
@@ -65,12 +67,10 @@ def impute_report(
     for s0, window, slot in zip(gap_starts, pred, writes):
         filled[s0:s0 + m][slot] = window.T[slot]
 
-    denormed = denormalize(
-        TimeSeries(values=filled, mask=np.ones_like(obs), names=ts.names),
-        bundle.norm,
-    )
-    series = TimeSeries(values=np.where(obs, ts.values, denormed.values),
-                        mask=np.ones_like(obs), names=ts.names)
+    denormed = denormalize(TimeSeries(filled, ts.names), bundle.norm)
+    series = TimeSeries(np.where(obs, ts.values, denormed.values), ts.names)
+    if series.n_missing:
+        raise ValueError(f"cells still missing after imputation: {series.n_missing}")
     report = {
         "n": ts.n,
         "d": ts.d,

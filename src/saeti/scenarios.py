@@ -25,9 +25,7 @@ MCAR_BLOCK_LEN = 10
 
 
 def _with_hidden(ts: TimeSeries, hidden: np.ndarray) -> TimeSeries:
-    mask = ts.mask & ~hidden
-    return TimeSeries(values=np.where(mask, ts.values, np.nan),
-                      mask=mask, names=ts.names)
+    return TimeSeries(np.where(hidden, np.nan, ts.values), ts.names)
 
 
 def _uniform_start(rows_ok: np.ndarray, length: int, rng: np.random.Generator,
@@ -140,7 +138,7 @@ def baseline_mean(ts: TimeSeries) -> TimeSeries:
         if not col.any():
             raise ValueError(f"empty coordinate: {ts.names[j]} has no observed points")
         out[~col, j] = ts.values[col, j].mean()
-    return TimeSeries(values=out, mask=np.ones_like(ts.mask), names=ts.names)
+    return TimeSeries(out, ts.names)
 
 
 def baseline_linear(ts: TimeSeries) -> TimeSeries:
@@ -152,4 +150,4 @@ def baseline_linear(ts: TimeSeries) -> TimeSeries:
         if not col.any():
             raise ValueError(f"empty coordinate: {ts.names[j]} has no observed points")
         out[~col, j] = np.interp(idx[~col], idx[col], ts.values[col, j])
-    return TimeSeries(values=out, mask=np.ones_like(ts.mask), names=ts.names)
+    return TimeSeries(out, ts.names)

@@ -360,6 +360,24 @@ def test_bad_training_flags_exit_2_before_discovery(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "m.bundle").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "train --output {out}/nodir/a.bundle --m 16 --k 2",
+    "train --output {out}/a.bundle --history {out}/nodir/h.csv --m 16 --k 2",
+    "generate-gaps --output {out}/g.csv --mask-output {out}/nodir/m.csv --scenario mcar",
+    "impute --bundle {data}/model.bundle --output {out}/i.csv --report {out}/nodir/r.json",
+])
+def test_output_in_missing_directory_exits_2_before_any_work(
+        workdir, tmp_path, capsys, monkeypatch, argv):
+    # Every command reads its input first, so snippet discovery, training,
+    # gap generation and imputation are never reached either.
+    monkeypatch.setattr("saeti.cli.read_csv", lambda *a, **k: pytest.fail("ran"))
+    argv = argv.format(data=workdir, out=tmp_path).split()
+    missing = next(arg for arg in argv if "/nodir/" in arg)
+    assert main(argv[:1] + ["--input", str(workdir / "gapped.csv")] + argv[1:]) == 2
+    assert f"{missing}: no such directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("ell, message", [
     ("0", "inner window ell=0 is below 2"),
     ("1", "inner window ell=1 is below 2"),

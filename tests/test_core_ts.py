@@ -23,8 +23,11 @@ from saeti.core_ts import (
 def test_series_poisons_missing_cells():
     values = np.array([[1.0, 2.0], [3.0, 4.0]])
     mask = np.array([[True, False], [True, True]])
-    ts = TimeSeries(values=values, mask=mask)
+    ts = TimeSeries(np.where(mask, values, np.nan))
+    values[0, 0] = 9.0  # the series holds a copy
+    assert ts.values[0, 0] == 1.0
     assert np.isnan(ts.values[0, 1])
+    assert ts.mask.tolist() == mask.tolist()
     assert ts.n_missing == 1
     assert ts.names == ("c1", "c2")
 
@@ -76,6 +79,51 @@ def test_roundtrip_normalize_denormalize():
         back = denormalize(out, params)
         obs = ts.mask
         assert np.allclose(back.values[obs], ts.values[obs], atol=1e-12)
+
+
+def reference_minmax(values):
+    """Min-max scaling and its inverse, written out one coordinate at a time."""
+    observed = ~np.isnan(values)
+    mins, maxs = np.empty(values.shape[1]), np.empty(values.shape[1])
+    norm, back = values.copy(), values.copy()
+    for j in range(values.shape[1]):
+        col = observed[:, j]
+        mins[j], maxs[j] = values[col, j].min(), values[col, j].max()
+        span = maxs[j] - mins[j]
+        if span == 0.0:
+            norm[col, j], back[col, j] = 0.5, mins[j]
+        else:
+            norm[col, j] = (values[col, j] - mins[j]) / span
+            back[col, j] = norm[col, j] * span + mins[j]
+    return mins, maxs, norm, back
+
+
+def signed_zero_series():
+    """Columns whose minimum is 0.0 and -0.0 at once, constant -0.0 ones, gaps."""
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        n, d = int(rng.integers(1, 24)), int(rng.integers(1, 4))
+        values = rng.choice([0.0, -0.0, 2.5, np.nan], p=[0.35, 0.35, 0.15, 0.15], size=(n, d))
+        values[rng.integers(n)] = rng.choice([0.0, -0.0], size=d)  # each column observed
+        yield values
+    yield np.array([[-0.0, 1.0], [-0.0, np.nan], [np.nan, 3.0], [-0.0, 2.0]])
+    yield np.array([[-0.0, 7.0], [np.nan, 7.0], [-0.0, np.nan], [-0.0, 7.0]])
+
+
+def test_normalization_keeps_signed_zeros_bit_for_bit():
+    def same_bits(got, want):
+        mask = ~np.isnan(want)
+        return (np.array_equal(got.mask, mask)
+                and np.where(mask, got.values, 0.0).tobytes() == np.where(mask, want, 0.0).tobytes())
+
+    for values in signed_zero_series():
+        mins, maxs, norm, back = reference_minmax(values)
+        out, params = minmax_normalize(TimeSeries(values))
+        assert params.mins.tobytes() == mins.tobytes(), values
+        assert params.maxs.tobytes() == maxs.tobytes(), values
+        assert same_bits(out, norm), values
+        assert same_bits(apply_normalization(TimeSeries(values), params), norm), values
+        assert same_bits(denormalize(out, params), back), values
 
 
 def test_apply_normalization_foreign_series_goes_out_of_range():
@@ -143,7 +191,8 @@ def csv_series(draw):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         mask[i] = False
     first = draw(st.sampled_from(["a,b", 'say "x"', "plain"]))
-    return TimeSeries(values=values, mask=mask, names=(first,) + tuple(f"c{j}" for j in range(1, d)))
+    return TimeSeries(np.where(mask, values, np.nan),
+                      names=(first,) + tuple(f"c{j}" for j in range(1, d)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,8 +280,8 @@ def test_csv_reads_empty_and_nan_cells(tmp_path):
 def test_series_rejects_non_finite_observed_cells():
     with pytest.raises(ValueError, match=r"non-finite observed value inf at row 2, column 1 \(a\)"):
         TimeSeries.from_values([[1.0, 2.0], [np.inf, 3.0]], names=("a", "b"))
-    with pytest.raises(ValueError, match="row 1, column 2"):
-        TimeSeries(values=np.array([[1.0, np.nan]]), mask=np.ones((1, 2), dtype=bool))
+    with pytest.raises(ValueError, match=r"non-finite observed value -inf at row 1, column 2 \(c2\)"):
+        TimeSeries([[np.nan, -np.inf]])
 
 
 def test_series_rejects_repeated_coordinate_names(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_regime_series
-from saeti import models
+from saeti import models, pipeline
 from saeti.core_ts import TimeSeries, apply_normalization, split_nonoverlapping
 from saeti.models import MISSING_FILL
 from saeti.pipeline import impute, impute_report
@@ -255,3 +255,19 @@ def test_decoders_see_only_the_rows_that_write(small_series, small_bundle, monke
     for j in (0, 1):
         want = [int(writes[lo:lo + chunk, j].sum()) for lo in range(0, len(writes), chunk)]
         assert seen[j] == want, j
+
+
+def test_a_prediction_left_missing_raises(small_series, small_bundle, monkeypatch):
+    gapped, hidden = gen_blackout(small_series, 10, 2)
+    i, j = np.argwhere(hidden)[0]
+    real_infer = pipeline.infer
+
+    def nan_at_first_written_cell(forward, x, *per_row):
+        out = real_infer(forward, x, *per_row)
+        if getattr(forward, "__self__", None) is small_bundle.reconstructor:
+            out[0, j, i % small_bundle.m] = np.nan  # the first gap window writes (i, j)
+        return out
+
+    monkeypatch.setattr(pipeline, "infer", nan_at_first_written_cell)
+    with pytest.raises(ValueError, match=r"cells still missing after imputation: 1$"):
+        impute_report(gapped, small_bundle)

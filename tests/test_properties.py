@@ -89,7 +89,7 @@ def gapped_series(draw):
         # gap inside the rows the tail window shares with its predecessor
         mask[draw(st.integers(starts[-1], starts[-2] + m - 1)),
              draw(st.integers(0, d - 1))] = False
-    return TimeSeries(values=values, mask=mask), m
+    return TimeSeries(np.where(mask, values, np.nan)), m
 
 
 @settings(deadline=None, max_examples=200)
