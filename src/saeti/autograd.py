@@ -14,10 +14,10 @@ input gradient is the same routine run with the flipped, transposed kernel.
 A GRU over a whole sequence is one node: it takes one time-major
 ``(T, B, F)`` tensor and returns every hidden state as one ``(T, B, H)``
 tensor. One GEMM projects every step, z and r share one recurrent
-product, and a hand-written backward through time fills the nine gate
-gradients. The classification loss is one node on logits: a max-shifted
-log-sum-exp forward and a ``softmax - onehot`` backward, finite for any
-finite logits.
+product, each step writes in place, and a hand-written backward through
+time fills the nine gate gradients; sigmoids are one numpy logistic. The
+classification loss is one node on logits: a max-shifted log-sum-exp
+forward and a ``softmax - onehot`` backward, finite for any finite logits.
 
 Conventions baked in here:
 
@@ -30,7 +30,7 @@ Conventions baked in here:
 * max-pooling takes pairs, keeps a trailing singleton window for odd
   lengths and routes gradient to the first maximal element on ties;
 * leaky ReLU slope is ``LEAKY_SLOPE`` (0.01);
-* the GRU recurrence is ``h_t = (1 - z_t) * h_{t-1} + z_t * h_cand`` with
+* the GRU recurrence is ``h_t = h_{t-1} + z_t * (h_cand - h_{t-1})`` with
   sigmoid update/reset gates, a tanh candidate and a zero initial state;
 * parameters initialize uniform(-a, a) with ``a = sqrt(6 / (fan_in +
   fan_out))``, biases at zero, from a caller-supplied seeded generator;
@@ -47,7 +47,6 @@ import warnings
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -324,8 +323,14 @@ def leaky_relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, LEAKY_SLOPE * x.data), (x,), _bwd)
 
 
+def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sigmoid as ``(1 + tanh(x/2)) / 2`` into ``out``: within 2.3e-16, silent for ±inf."""
+    y = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    return np.multiply(np.add(y, 1.0, out=y), 0.5, out=y)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = expit(x.data)
+    y = _logistic(x.data)
     def _bwd(g):
         x._accumulate(g * y * (1.0 - y), fresh=True)
     return _node(y, (x,), _bwd)
@@ -516,11 +521,11 @@ def gru_forward(xs: Tensor, params: GRUParams) -> Tensor:
     Returns every hidden state as one (T, B, hidden) tensor; the final
     state is its step ``[-1]``. Recurrence:
     ``z = sigm(x W_z + h U_z + b_z)``, ``r = sigm(x W_r + h U_r + b_r)``,
-    ``cand = tanh(x W_h + (r*h) U_h + b_h)``, ``h' = (1 - z) * h + z * cand``.
+    ``cand = tanh(x W_h + (r*h) U_h + b_h)``, ``h' = h + z * (cand - h)``.
 
     The sequence is one node: one GEMM projects every step, z and r share
-    one ``(H, 2H)`` recurrent product per step, and the backward runs
-    through time by hand.
+    one ``(H, 2H)`` recurrent product per step, each step writes in place
+    into its own slots, and the backward runs through time by hand.
     """
     if not isinstance(xs, Tensor) or xs.data.ndim != 3:
         got = xs.shape if isinstance(xs, Tensor) else type(xs).__name__
@@ -541,13 +546,12 @@ def gru_forward(xs: Tensor, params: GRUParams) -> Tensor:
     zr = np.empty((steps, batch, 2 * hid))
     rh = np.empty((steps, batch, hid))
     cand = np.empty((steps, batch, hid))
-    for t in range(steps):
-        h = hs[t]
-        expit(proj[t, :, :2 * hid] + h @ u_zr, out=zr[t])
-        z, r = zr[t, :, :hid], zr[t, :, hid:]
-        np.multiply(r, h, out=rh[t])
-        np.tanh(proj[t, :, 2 * hid:] + rh[t] @ u_h, out=cand[t])
-        hs[t + 1] = (1.0 - z) * h + z * cand[t]
+    for t, (h, a, c, nxt) in enumerate(zip(hs, zr, cand, hs[1:])):
+        _logistic(np.add(np.matmul(h, u_zr, out=a), proj[t, :, :2 * hid], out=a), out=a)
+        np.multiply(a[:, hid:], h, out=rh[t])
+        np.tanh(np.add(np.matmul(rh[t], u_h, out=c), proj[t, :, 2 * hid:], out=c), out=c)
+        np.multiply(a[:, :hid], np.subtract(c, h, out=nxt), out=nxt)   # h' = h + z (c - h)
+        nxt += h
     gate_tensors = [t for _, t in params.tensors()]
     def _bwd(g):
         dproj = np.empty((steps, batch, 3 * hid))
@@ -617,16 +621,18 @@ class Adam:
         self.t = 0
 
     def step(self):
-        """One update of every parameter that has a gradient."""
+        """Update each parameter with a gradient in place. ``m`` and ``v`` are kept
+        divided by ``1 - beta``; lr and eps take that and the bias corrections."""
         self.t += 1
+        root = math.sqrt((1.0 - ADAM_BETA2 ** self.t) / (1.0 - ADAM_BETA2))
+        step = self.lr * root * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1 ** self.t)
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            g = p.grad
+            g, s = p.grad, np.empty_like(m)     # s: the one scratch array
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            v += np.square(g, out=s)
+            np.divide(m, np.add(np.sqrt(v, out=s), ADAM_EPS * root, out=s), out=s)
+            p.data -= np.multiply(s, step, out=s)

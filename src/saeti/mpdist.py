@@ -193,18 +193,21 @@ def _pooled_kth(d2: np.ndarray, k: int) -> np.ndarray:
     """1-based k-th smallest of the pooled profiles of a ``(R, width, n_win)`` chunk.
 
     The pool at start i holds ``min_j d2[:, j, i + w]`` for each w and
-    ``min(d2[:, j, i:i + width])`` for each j. Each half is kept as its sorted
-    k smallest: row j's sliding minima are inserted a row at a time, and lists
-    of the column minima over 1, 2, 4, ... positions join along width's bits.
+    ``min(d2[:, j, i:i + width])`` for each j. Both halves start with the
+    block minimum, the k-th smallest for k <= 2, else the (k-2)-th of both
+    halves past it; so each half is kept as its sorted k-1 smallest: row j's
+    sliding minima are inserted a row at a time, and lists of the column
+    minima over 1, 2, 4, ... positions join along width's bits.
     """
     width = d2.shape[1]
     n_sub = d2.shape[2] - width + 1
+    keep = max(k - 1, 1)
     seg = [_sliding_min(d2[:, 0], width).copy()]
     hi = np.empty_like(seg[0])
     for j in range(1, width):
         v = _sliding_min(d2[:, j], width)
         held = len(seg)
-        if held < k:  # the list grows by its new largest value
+        if held < keep:  # the list grows by its new largest value
             seg.append(np.maximum(seg[-1], v))
         for i in range(held - 1, 0, -1):  # top down, in place: min(l_i, max(l_{i-1}, v))
             np.minimum(seg[i], np.maximum(seg[i - 1], v, out=hi), out=seg[i])
@@ -213,11 +216,11 @@ def _pooled_kth(d2: np.ndarray, k: int) -> np.ndarray:
     for span in [1 << b for b in range(width.bit_length())]:
         if width & span:
             piece = [x[:, offset:offset + n_sub] for x in level]
-            sub = _merge(sub, piece, k) if sub else piece
+            sub = _merge(sub, piece, keep) if sub else piece
             offset += span
         if 2 * span <= width:
-            level = _merge([x[:, :-span] for x in level], [x[:, span:] for x in level], k)
-    return functools.reduce(np.maximum, _smallest(sub, seg, k))
+            level = _merge([x[:, :-span] for x in level], [x[:, span:] for x in level], keep)
+    return seg[0] if k <= 2 else functools.reduce(np.maximum, _smallest(sub[1:], seg[1:], k - 2))
 
 
 def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) -> ProfileMatrix:
@@ -231,7 +234,9 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     Squared distances from a chunk of segments' inner windows to every
     inner window of the coordinate come from one matrix product,
     ``|a|^2 + |b|^2 - 2 a.b`` over the z-normalized windows, with the
-    chunk bounded to ``_CHUNK_ENTRIES`` entries. That form cancels near
+    chunk bounded to ``_CHUNK_ENTRIES`` entries: rows ``[a, |a|^2, 1]`` by
+    columns ``[-2 b, 1, |b|^2]``, which add the norms after the ell products
+    with the bits of two separate additions. That form cancels near
     zero, so every entry with a squared distance below 1e-6 is recomputed
     by explicit differences: a subsequence aligned with a segment, and any
     bit-identical pair of windows, is at distance exactly zero. Identical
@@ -275,8 +280,8 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     col_of = np.searchsorted(cols, first[inverse.reshape(-1)])
     repeats = cols.shape[0] < n_win
     zc = zt[cols]
-    sq = np.einsum("ij,ij->i", zc, zc)
-    zm2 = -2.0 * zc  # exact: the product below equals -2 * (zc[rows] @ zc.T)
+    sq, ones = np.einsum("ij,ij->i", zc, zc)[:, None], np.ones((zc.shape[0], 1))
+    za, zb = np.hstack([zc, sq, ones]), np.hstack([-2.0 * zc, ones, sq])  # -2 b is exact
 
     # Segments made of the same window columns share one result row.
     seg_cols = col_of[kept_segments[:, None] * m + np.arange(width)]
@@ -285,9 +290,7 @@ def mpdist_profile_matrix(values: np.ndarray, m: int, ell: int | None = None) ->
     chunk = max(1, _CHUNK_ENTRIES // (width * n_win))
     for lo in range(0, uniq_segs.shape[0], chunk):
         rows, row_of = np.unique(uniq_segs[lo:lo + chunk], return_inverse=True)
-        d2 = zc[rows] @ zm2.T
-        d2 += sq[rows, None]
-        d2 += sq
+        d2 = za[rows] @ zb.T
         near_r, near_c = np.divmod(np.flatnonzero(d2 < _EXACT_SQ_DIST), d2.shape[1])
         diff = zc[rows[near_r]] - zc[near_c]
         d2[near_r, near_c] = np.einsum("ij,ij->i", diff, diff)

@@ -12,9 +12,8 @@ Predictions are written in window order and overlapping tail coverage
 follows first-writer-wins, so each missing cell is predicted exactly
 once. The cells each window will write are known before the models
 run, and the reconstructor decodes a window's coordinate only where
-that window writes a cell of it. The same input gives the same bytes,
-but a gap window's last bits can depend on how many gap windows share
-its batch.
+that window writes a cell of it. The same input gives the same bytes;
+at one BLAS thread so does each gap window, alone or among any others.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from saeti import autograd as ag
 
@@ -82,6 +84,23 @@ def test_nonlinearities():
     check_grads(lambda a: ag.leaky_relu(a).sum(), [x.copy() + 0.05])
     y = ag.leaky_relu(ag.Tensor(np.array([-2.0, 3.0])))
     assert np.allclose(y.data, [-0.02, 3.0])
+
+
+def test_logistic_is_close_to_expit_bounded_and_silent():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200001),
+                        np.random.default_rng(8).uniform(-40.0, 40.0, 100000)])
+    y = ag.sigmoid(ag.Tensor(x)).data
+    assert np.max(np.abs(y - expit(x))) <= 2.3e-16
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    extremes = np.array([-np.inf, -1e308, -710.0, 0.0, 710.0, 1e308, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ag.sigmoid(ag.Tensor(extremes)).data
+        inplace = extremes.copy()
+        assert ag._logistic(inplace, out=inplace) is inplace
+    assert np.array_equal(y[:-1], [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+    assert np.isnan(y[-1])
+    assert np.array_equal(inplace, y, equal_nan=True)
 
 
 def test_softmax_rows_sum_to_one_and_grad():
@@ -314,6 +333,33 @@ def test_adam_first_step_oracle():
         np.abs([0.5, -0.25]) + 1e-8)
     assert np.allclose(p.data, expect, atol=1e-12)
     assert opt.t == 1
+
+
+def test_adam_matches_the_textbook_update_and_skips_missing_grads():
+    rng = np.random.default_rng(21)
+    shapes = [(3, 4), (5,), (2, 3, 2)]
+    params = [ag.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    idle = ag.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    before = idle.data.copy()
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 0.01, ag.ADAM_BETA1, ag.ADAM_BETA2, ag.ADAM_EPS
+    opt = ag.Adam(params + [idle], lr=lr)
+    for t in range(1, 6):
+        for i, p in enumerate(params):
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)
+            p.grad = g
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            m_hat, v_hat = m[i] / (1 - b1 ** t), v[i] / (1 - b2 ** t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for p, w in zip(params, want):
+            np.testing.assert_allclose(p.data, w, rtol=1e-12, atol=0)
+    assert idle.grad is None
+    assert np.array_equal(idle.data, before)
+    assert opt.t == 5
 
 
 def test_adam_optimizes_a_quadratic():

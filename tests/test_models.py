@@ -2,8 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel, default_latent
+from saeti.models import (
+    GAP_CHUNK,
+    MISSING_FILL,
+    RecognizerModel,
+    ReconstructorModel,
+    default_latent,
+    infer,
+)
 
 
 def test_recognizer_output_shape_and_rows():
@@ -159,3 +168,64 @@ def test_unseeded_models_list_the_seeded_names_and_shapes(d, m, k, latent):
     assert layout(RecognizerModel(d, m, k, seed=None)) == layout(RecognizerModel(d, m, k))
     assert (layout(ReconstructorModel(d, m, latent=latent, seed=None))
             == layout(ReconstructorModel(d, m, latent=latent)))
+
+
+class _TwoRowReference:
+    """A pool of rows for the A5 shape (d=4, m=32, k=3) and each row's output
+    in a fixed 2-row batch: the row twice, with its decode mask twice."""
+
+    def __init__(self, rows: int = 139):
+        rng = np.random.default_rng(31)
+        self.recognizer = RecognizerModel(4, 32, 3, seed=2)
+        self.reconstructor = ReconstructorModel(4, 32, seed=3)
+        self.x = np.where(rng.random((rows, 4, 32)) < 0.2, MISSING_FILL, rng.random((rows, 4, 32)))
+        self.pairs = rng.random((rows, 4, 2, 32))
+        self._cache = {}
+
+    def logits(self, i):
+        if i not in self._cache:
+            self._cache[i] = self.recognizer.forward(self.x[[i, i]]).data[0]
+        return self._cache[i]
+
+    def decoded(self, i, mask):
+        key = (i, mask.tobytes())
+        if key not in self._cache:
+            pair = self.reconstructor.forward(self.pairs[[i, i]], np.stack([mask, mask]))
+            self._cache[key] = pair.data[0]
+        return self._cache[key]
+
+
+@pytest.fixture(scope="module")
+def two_row():
+    return _TwoRowReference()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 139), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=97, seed=1)      # the last batch of these holds one row
+@example(n=129, seed=2)
+def test_infer_gives_every_row_the_bits_of_a_fixed_two_row_batch(two_row, n, seed):
+    """A row's output does not depend on how many rows share the call or its batch."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(two_row.x.shape[0])[:n]
+    masks = rng.random((n, 4)) < rng.uniform(0.2, 1.0)
+    logits = infer(two_row.recognizer.forward, two_row.x[rows])
+    decoded = infer(two_row.reconstructor.forward, two_row.pairs[rows], masks)
+    assert logits.shape == (n, 4, 3) and decoded.shape == (n, 4, 32)
+    for got_logits, got_decoded, i, mask in zip(logits, decoded, rows, masks):
+        assert np.array_equal(got_logits.view(np.uint64), two_row.logits(i).view(np.uint64))
+        assert np.array_equal(got_decoded.view(np.uint64), two_row.decoded(i, mask).view(np.uint64))
+
+
+def test_infer_runs_a_one_row_batch_as_two_copies():
+    calls = []
+
+    def forward(x):
+        calls.append(x.copy())
+        return x * 2.0
+
+    x = np.arange(GAP_CHUNK + 1, dtype=float)[:, None]
+    assert np.array_equal(infer(forward, x), 2.0 * x)
+    assert [len(c) for c in calls] == [GAP_CHUNK, 2]
+    assert np.array_equal(calls[1], x[[GAP_CHUNK, GAP_CHUNK]])

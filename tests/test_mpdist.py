@@ -280,3 +280,57 @@ def test_profile_matrix_matches_explicit_differences(name, per_chunk, monkeypatc
     got_json = snippet_sets_to_json(find_all_snippets(ts, m, k))
     monkeypatch.setattr(SNIPPETS, "mpdist_profile_matrix", reference_profile_matrix)
     assert got_json == snippet_sets_to_json(find_all_snippets(ts, m, k))
+
+
+def _three_step_chunks(values, m):
+    """Each chunk's squared distances as ``zc @ (-2 zc).T + |a|^2 + |b|^2``.
+
+    The formulation with two separate additions, chunked, deduplicated,
+    recomputed near zero and gathered back to every window as
+    ``mpdist_profile_matrix`` does, for a gap-free coordinate.
+    """
+    ell = default_inner_window(m)
+    width = m - ell + 1
+    zt = znorm_windows(values, ell)
+    n_win = zt.shape[0]
+    _, first, inverse = np.unique(zt, axis=0, return_index=True, return_inverse=True)
+    cols = np.sort(first)
+    col_of = np.searchsorted(cols, first[inverse.reshape(-1)])
+    zc = zt[cols]
+    sq = np.einsum("ij,ij->i", zc, zc)
+    zm2 = -2.0 * zc
+    seg_cols = col_of[np.arange(values.shape[0] // m)[:, None] * m + np.arange(width)]
+    uniq_segs = np.unique(seg_cols, axis=0)
+    chunk = max(1, MPDIST._CHUNK_ENTRIES // (width * n_win))
+    for lo in range(0, uniq_segs.shape[0], chunk):
+        rows, row_of = np.unique(uniq_segs[lo:lo + chunk], return_inverse=True)
+        d2 = zc[rows] @ zm2.T
+        d2 += sq[rows, None]
+        d2 += sq
+        near_r, near_c = np.divmod(np.flatnonzero(d2 < MPDIST._EXACT_SQ_DIST), d2.shape[1])
+        diff = zc[rows[near_r]] - zc[near_c]
+        d2[near_r, near_c] = np.einsum("ij,ij->i", diff, diff)
+        yield d2[np.ix_(row_of.reshape(-1), col_of)].reshape(-1, width, n_win)
+
+
+FOLDED_FIXTURES = {
+    "noisy": lambda: (three_regime_series(n=10000).coord(0)
+                      + np.random.default_rng(5).normal(0.0, 0.02, 10000), 32),
+    "planted_regimes": lambda: (three_regime_series(n=10000).coord(1), 32),
+    "planted_blocks": lambda: (_planted_blocks()[0].coord(0), 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED_FIXTURES))
+def test_folded_norms_keep_the_bits_of_the_three_step_product(name, monkeypatch):
+    """The norms inside the GEMM give every chunk the bits of two separate adds."""
+    values, m = FOLDED_FIXTURES[name]()
+    seen = []
+    pooled_kth = MPDIST._pooled_kth
+    monkeypatch.setattr(MPDIST, "_pooled_kth",
+                        lambda d2, k: seen.append(d2.copy()) or pooled_kth(d2, k))
+    mpdist_profile_matrix(values, m)
+    want = list(_three_step_chunks(values, m))
+    assert len(seen) == len(want) >= 1
+    for got, ref in zip(seen, want):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

@@ -271,3 +271,19 @@ def test_a_prediction_left_missing_raises(small_series, small_bundle, monkeypatc
     monkeypatch.setattr(pipeline, "infer", nan_at_first_written_cell)
     with pytest.raises(ValueError, match=r"cells still missing after imputation: 1$"):
         impute_report(gapped, small_bundle)
+
+
+@pytest.mark.parametrize("pick", [0, 33, 64, -1])
+def test_a_gap_window_gets_the_same_bytes_alone_and_among_many(small_series, small_bundle, pick):
+    """Imputed alone (a 1-row batch) or as one of ~90 gap windows, same bytes."""
+    m = small_bundle.m
+    many, _ = gen_mcar(small_series, 0.25, 13)
+    gap_windows = np.flatnonzero(np.isnan(many.values.reshape(-1, m, many.d)).any(axis=(1, 2)))
+    rows = slice(gap_windows[pick] * m, (gap_windows[pick] + 1) * m)
+    alone = small_series.values.copy()
+    alone[rows] = many.values[rows]
+    out_many, report = impute_report(many, small_bundle)
+    out_alone, report_alone = impute_report(TimeSeries(alone, small_series.names), small_bundle)
+    assert report["windows"]["with_gaps"] > 2 * models.GAP_CHUNK
+    assert report_alone["windows"]["with_gaps"] == 1
+    assert out_many.values[rows].tobytes() == out_alone.values[rows].tobytes()
