@@ -472,6 +472,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 def masked_mse(pred: Tensor, target, weight_mask) -> Tensor:
     """Mean squared error restricted to positions with weight 1.
 
+    ``target`` may hold anything, NaN included, where the weight is 0.
     An all-zero mask yields 0 with a warning (nothing to score, but the
     graph stays differentiable).
     """

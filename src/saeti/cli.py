@@ -123,12 +123,15 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 
 def cmd_generate_gaps(args: argparse.Namespace) -> None:
+    unused = "--length" if args.scenario == "mcar" else "--rate"
+    if getattr(args, unused[2:]) is not None:
+        raise ValueError(f"{unused} does not apply to the {args.scenario} scenario")
     ts = read_csv(args.input)
     rng = np.random.default_rng(args.seed)
     if args.scenario == "blackout":
         gapped, hidden = gen_blackout(ts, 10 if args.length is None else args.length, rng)
     elif args.scenario == "mcar":
-        gapped, hidden = gen_mcar(ts, args.rate, rng)
+        gapped, hidden = gen_mcar(ts, 0.25 if args.rate is None else args.rate, rng)
     else:
         gapped, hidden = gen_ts_nbr(ts, args.length, rng)
     write_csv(gapped, args.output)
@@ -214,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["blackout", "mcar", "ts-nbr"])
     p.add_argument("--length", type=int, default=None,
                    help="block length (blackout default 10, ts-nbr default n/10)")
-    p.add_argument("--rate", type=float, default=0.25,
-                   help="target missing fraction for mcar")
+    p.add_argument("--rate", type=float, default=None,
+                   help="target missing fraction for mcar (default 0.25)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mask-output", default=None,
                    help="hidden-position CSV (default <output>.mask.csv)")

@@ -4,7 +4,8 @@ A series is an ``(n, d)`` float matrix: row ``i`` is the vector of all
 coordinates at time step ``i``, column ``j`` is one coordinate. A missing
 point is a NaN cell and nothing else: the observed mask (``True`` =
 observed) is derived from the values, so the two cannot disagree, and an
-accidental read of a missing cell surfaces as NaN.
+accidental read of a missing cell surfaces as NaN. Windows keep their NaN
+until ``models.model_inputs`` prepares them for a model.
 
 Positions in user-facing structures (subsequence starts, reports, mask
 CSVs) are 1-based; internal array indexing is 0-based.
@@ -189,17 +190,16 @@ def window_starts(n: int, m: int) -> np.ndarray:
     return starts
 
 
-def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cover the whole series with consecutive d-by-m windows.
 
-    Returns ``(starts, values, mask)``: the 0-based window starts from
-    :func:`window_starts`, and the windows' values (NaN at missing points)
-    and observed mask, each shaped ``(N, d, m)`` and gathered in one
-    fancy index, so every ``values[i, j]`` row is contiguous.
+    Returns ``(starts, windows)``: the 0-based window starts from
+    :func:`window_starts`, and the windows (NaN at gaps) shaped
+    ``(N, d, m)`` by one fancy index, so every ``windows[i, j]`` row is
+    contiguous.
     """
     starts = window_starts(ts.n, m)
-    index = (starts[:, None, None] + np.arange(m), np.arange(ts.d)[:, None])
-    return starts, ts.values[index], ts.mask[index]
+    return starts, ts.values[starts[:, None, None] + np.arange(m), np.arange(ts.d)[:, None]]
 
 
 # CSV interchange: a header row of coordinate names, then one row per time

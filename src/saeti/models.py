@@ -1,11 +1,11 @@
 """The two networks: a window classifier and a masked autoencoder.
 
 Both operate on fixed-length windows cut from a min-max normalized
-series, with missing points filled with -1 so gaps sit outside the
-observed [0, 1] range. Shapes follow the (batch, coordinate, time)
-convention throughout; conv activations lie (time, batch, channel) in
-memory behind it, so the hand-offs to and from the GRUs need no
-transposing copy. Every inference prepares windows with
+series. A window's gaps are NaN up to :func:`model_inputs`, the one
+place that sets them to -1, outside the observed [0, 1] range. Shapes
+follow the (batch, coordinate, time) convention throughout; conv
+activations lie (time, batch, channel) in memory behind it, so the
+hand-offs to and from the GRUs need no transposing copy. Every inference prepares windows with
 :func:`model_inputs` and runs through :func:`infer`, except validation:
 it stays one forward over all its windows, as batches would change its bits.
 """
@@ -92,9 +92,9 @@ class _Model:
         return list(self._named)
 
 
-def model_inputs(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Windows as both models read them: values clamped to [0, 1], gaps filled."""
-    return np.where(mask, np.clip(values, 0.0, 1.0), MISSING_FILL)
+def model_inputs(windows: np.ndarray) -> np.ndarray:
+    """Windows as both models read them: values clamped to [0, 1], NaN gaps set to -1."""
+    return np.where(np.isnan(windows), MISSING_FILL, np.clip(windows, 0.0, 1.0))
 
 
 def infer(forward, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The series is brought into the bundle's normalized frame and cut into
 stride-m windows (the last window backs up over the tail when the
-length is not a multiple of m). The windows containing gaps are
+length is not a multiple of m). The windows holding a NaN gap are
 gathered into one array of model inputs, labeled by the recognizer,
 paired with their matched snippets and predicted by the reconstructor;
 both models run through ``models.infer`` in fixed-size batches without
@@ -40,19 +40,28 @@ def impute_report(
 
     With ``truth`` given (a series observed at the points ``ts`` is
     missing), the report adds RMSE over the imputed positions, overall
-    and per coordinate.
+    and per coordinate. ``ts`` and ``truth`` must name the bundle's
+    coordinates in its order; every check runs before any model does.
     """
-    if ts.d != bundle.d:
-        raise ValueError(f"series has d={ts.d}, bundle expects d={bundle.d}")
+    for what, series in (("series", ts), ("truth", truth)):
+        if series is not None and series.names != bundle.names:
+            raise ValueError(f"{what} has d={series.d} coordinates {list(series.names)}, "
+                             f"bundle expects d={bundle.d} {list(bundle.names)}")
+    obs = ts.mask
+    if truth is not None:
+        if truth.n != ts.n:
+            raise ValueError(f"truth has n={truth.n} steps, series has n={ts.n}")
+        scored = ~obs & truth.mask
+        if not scored.any():
+            raise ValueError("nothing to score: truth is missing at every gap")
     m = bundle.m
     norm = apply_normalization(ts, bundle.norm)
-    obs = ts.mask
-    starts, windows, window_mask = split_nonoverlapping(norm, m)
-    gap = ~window_mask.all(axis=(1, 2))
+    starts, windows = split_nonoverlapping(norm, m)
+    gap = np.isnan(windows).any(axis=(1, 2))
     gap_starts = starts[gap]
     # Model inputs are clamped to the training range; output plumbing
     # keeps the unclamped normalized values.
-    x = model_inputs(windows[gap], window_mask[gap])
+    x = model_inputs(windows[gap])
     # The (m, d) cells each gap window writes: still missing and unwritten.
     writes = np.empty((gap_starts.shape[0], m, ts.d), dtype=bool)
     open_ = ~obs
@@ -85,15 +94,7 @@ def impute_report(
         },
     }
     if truth is not None:
-        if truth.values.shape != ts.values.shape:
-            raise ValueError("truth shape differs from input shape")
-        scored = ~obs & truth.mask
-        if not scored.any():
-            raise ValueError("nothing to score: truth is missing at every gap")
-        per = {}
-        for j, name in enumerate(ts.names):
-            column = scored & (np.arange(ts.d) == j)
-            if column.any():
-                per[name] = rmse(series, truth, column)
+        columns = {name: scored & (np.arange(ts.d) == j) for j, name in enumerate(ts.names)}
+        per = {name: rmse(series, truth, c) for name, c in columns.items() if c.any()}
         report["rmse"] = {"overall": rmse(series, truth, scored), "per_coordinate": per}
     return series, report

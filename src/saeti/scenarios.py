@@ -113,12 +113,15 @@ def gen_ts_nbr(ts: TimeSeries, length: int | None = None,
 
 
 def rmse(imputed: TimeSeries, truth: TimeSeries, positions: np.ndarray) -> float:
-    """Root mean squared error over the flagged positions."""
+    """Root mean squared error over the flagged positions of same-named series."""
     positions = np.asarray(positions, dtype=bool)
     if positions.shape != truth.values.shape:
         raise ValueError("positions shape differs from series shape")
     if imputed.values.shape != truth.values.shape:
         raise ValueError("imputed shape differs from truth shape")
+    if imputed.names != truth.names:
+        raise ValueError(f"imputed has coordinates {list(imputed.names)}, "
+                         f"truth has {list(truth.names)}")
     if not positions.any():
         raise ValueError("nothing to score: no positions flagged")
     if not truth.mask[positions].all():

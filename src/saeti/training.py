@@ -5,7 +5,8 @@ at stride ``m`` (the final window backs up to cover the tail), the
 classifier trains on gap-free windows against snippet-derived labels,
 and the autoencoder trains on every window that has at least one
 observed point, with random masking of observed positions as
-augmentation so it learns to fill holes it has never seen.
+augmentation so it learns to fill holes it has never seen. Windows
+stay NaN at their gaps until :func:`occlude` or ``models.model_inputs``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .autograd import Adam, cross_entropy, masked_mse, no_grad, zero_grads
 from .core_ts import NormParams, TimeSeries, split_nonoverlapping
-from .models import MISSING_FILL, RecognizerModel, ReconstructorModel, infer, model_inputs
+from .models import RecognizerModel, ReconstructorModel, infer, model_inputs
 from .mpdist import _inner_window
 from .snippets import SnippetSet, label_subsequence, snippet_values
 
@@ -32,6 +33,7 @@ __all__ = [
     "label_windows",
     "snippet_pairs",
     "mask_random_points",
+    "occlude",
     "split_train_val",
     "train_recognizer",
     "train_reconstructor",
@@ -108,65 +110,53 @@ class ModelBundle:
         return self.recognizer.k
 
 
-def label_windows(starts: np.ndarray, values: np.ndarray, mask: np.ndarray,
-                  sets: list[SnippetSet],
+def label_windows(starts: np.ndarray, windows: np.ndarray, sets: list[SnippetSet],
                   recognizer: RecognizerModel | None = None) -> np.ndarray:
     """0-based snippet rank per coordinate of (N, d, m) windows, shape (N, d).
 
-    ``starts`` are the windows' 0-based positions. A gap-free window takes,
-    per coordinate, the rank of the snippet whose set holds its start
-    (one :func:`label_subsequence` gather per coordinate); windows with
-    holes are routed through the classifier with :func:`models.infer`.
+    ``starts`` are the windows' 0-based positions. A window without NaN
+    takes, per coordinate, the rank of the snippet whose set holds its
+    start (one :func:`label_subsequence` gather per coordinate); windows
+    with gaps are routed through the classifier with :func:`models.infer`.
     """
-    clean = mask.all(axis=(1, 2))
-    labels = np.empty(mask.shape[:2], dtype=int)
+    clean = ~np.isnan(windows).any(axis=(1, 2))
+    labels = np.empty(windows.shape[:2], dtype=int)
     for j, sset in enumerate(sets):
         labels[clean, j] = label_subsequence(starts[clean] + 1, sset) - 1
     if not clean.all():
         if recognizer is None:
             raise ValueError("window has gaps and no classifier was provided")
-        labels[~clean] = infer(recognizer.predict,
-                               model_inputs(values[~clean], mask[~clean]))
+        labels[~clean] = infer(recognizer.predict, model_inputs(windows[~clean]))
     return labels
 
 
-def build_recognizer_dataset(
-    ts_norm: TimeSeries, sets: list[SnippetSet], m: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def build_recognizer_dataset(ts_norm: TimeSeries, sets: list[SnippetSet],
+                             m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gap-free stride-m windows and their per-coordinate labels.
 
     Returns ``(X, y)`` with ``X`` shaped (N, d, m) and ``y`` (N, d),
     labels 0-based.
     """
-    starts, values, mask = split_nonoverlapping(ts_norm, m)
-    clean = mask.all(axis=(1, 2))
+    starts, windows = split_nonoverlapping(ts_norm, m)
+    clean = ~np.isnan(windows).any(axis=(1, 2))
     if not clean.any():
         raise ValueError("insufficient clean data: no gap-free windows")
-    x = values[clean]
-    return x, label_windows(starts[clean], x, mask[clean], sets)
+    x = windows[clean]
+    return x, label_windows(starts[clean], x, sets)
 
 
-def build_reconstructor_dataset(
-    ts_norm: TimeSeries, sets: list[SnippetSet], m: int,
-    recognizer: RecognizerModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window/snippet input pairs for the autoencoder.
+def build_reconstructor_dataset(ts_norm: TimeSeries, sets: list[SnippetSet], m: int,
+                                recognizer: RecognizerModel) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` of every window with an observed point, NaN at its gaps.
 
-    Returns ``(X, target, weight)``: ``X`` is (N, d, 2, m) holding the
-    filled window in channel 0 and the matched snippet in channel 1;
-    ``target`` is the window itself and ``weight`` is 1.0 exactly where
-    the truth is observed. Windows with no observed point at all are
-    dropped.
+    Labeled as by :func:`build_recognizer_dataset`, gap windows by ``recognizer``.
     """
-    starts, values, mask = split_nonoverlapping(ts_norm, m)
-    keep = mask.any(axis=(1, 2))
+    starts, windows = split_nonoverlapping(ts_norm, m)
+    keep = ~np.isnan(windows).all(axis=(1, 2))
     if not keep.any():
         raise ValueError("insufficient clean data: no observed points in any window")
-    starts, values, mask = starts[keep], values[keep], mask[keep]
-    labels = label_windows(starts, values, mask, sets, recognizer)
-    targets = np.where(mask, values, 0.0)
-    pairs = snippet_pairs(model_inputs(values, mask), labels, snippet_values(sets))
-    return pairs, targets, mask.astype(float)
+    x = windows[keep]
+    return x, label_windows(starts[keep], x, sets, recognizer)
 
 
 def snippet_pairs(inputs: np.ndarray, labels: np.ndarray,
@@ -189,14 +179,25 @@ def mask_random_points(observed: np.ndarray, fraction: float,
     Capped at the number of observed positions. Returns a boolean array
     shaped like ``observed``, True at the points to blank out.
     """
-    observed = np.asarray(observed, dtype=bool)
     n_pick = min(int(fraction * observed.size), int(observed.sum()))
     hide = np.zeros(observed.shape, dtype=bool)
     if n_pick > 0:
-        pool = np.flatnonzero(observed.ravel())
-        chosen = rng.choice(pool, size=n_pick, replace=False)
-        hide.ravel()[chosen] = True
+        hide.ravel()[rng.choice(np.flatnonzero(observed), size=n_pick, replace=False)] = True
     return hide
+
+
+def occlude(windows: np.ndarray, rng: np.random.Generator, spread: bool = False) -> np.ndarray:
+    """``model_inputs`` of (N, d, m) windows with some observed points hidden.
+
+    Per window, :func:`mask_random_points` picks ``MASK_FRACTION`` of its
+    points, or with ``spread`` a share drawn uniformly from 0 to twice
+    that, among its observed ones; ``windows`` itself is left unchanged.
+    """
+    hidden = windows.copy()
+    for window in hidden:
+        share = rng.uniform(0.0, 2.0 * MASK_FRACTION) if spread else MASK_FRACTION
+        window[mask_random_points(~np.isnan(window), share, rng)] = np.nan
+    return model_inputs(hidden)
 
 
 def split_train_val(n: int, val_fraction: float,
@@ -283,10 +284,10 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
     """Train the classifier with :func:`_fit`.
 
     The loss is the fused cross-entropy of the logits, summed over
-    coordinates and averaged over the batch. Input windows are occluded:
-    per sample, a share of points drawn uniformly between 0 and twice the
-    configured fraction (mean = the configured fraction) is replaced by
-    the missing-value fill. At use the classifier sees anything from
+    coordinates and averaged over the batch. Input windows are occluded
+    with :func:`occlude`: per sample, a share of points drawn uniformly
+    between 0 and twice the configured fraction (mean = the configured
+    fraction) is hidden. At use the classifier sees anything from
     untouched windows to mostly-hidden ones, so training has to cover
     that whole range; a fixed share would let it key on the occlusion
     pattern itself. Validation inputs get one fixed occlusion at the
@@ -295,18 +296,10 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
     """
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
-    val_x = x[val_idx].copy()
-    for i in range(val_x.shape[0]):
-        hide = mask_random_points(np.ones_like(val_x[i], dtype=bool),
-                                  MASK_FRACTION, rng)
-        val_x[i][hide] = MISSING_FILL
+    val_x = occlude(x[val_idx], rng)
 
     def batch_loss(batch):
-        xb = x[batch].copy()
-        for i in range(batch.shape[0]):
-            frac = rng.uniform(0.0, 2.0 * MASK_FRACTION)
-            hide = mask_random_points(np.ones_like(xb[i], dtype=bool), frac, rng)
-            xb[i][hide] = MISSING_FILL
+        xb = occlude(x[batch], rng, spread=True)
         loss = cross_entropy(model.forward(xb), y[batch]) * (1.0 / batch.shape[0])
         return loss, batch.shape[0]
 
@@ -318,30 +311,30 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
     return _fit(model, config, rng, train_idx, batch_loss, validate)
 
 
-def train_reconstructor(model: ReconstructorModel, x: np.ndarray,
-                        target: np.ndarray, weight: np.ndarray,
-                        config: TrainConfig) -> list[EpochStats]:
-    """Masked-MSE training with random occlusion of observed inputs.
+def train_reconstructor(model: ReconstructorModel, x: np.ndarray, y: np.ndarray,
+                        snippets: np.ndarray, config: TrainConfig) -> list[EpochStats]:
+    """Masked-MSE training of windows ``x`` paired with ``snippets[y]``.
 
-    Each epoch re-rolls which observed points are blanked out of the
-    input channel; the loss still sees them, which is what teaches the
-    model to fill gaps. The training loss is averaged over observed
-    positions. Validation runs without occlusion.
+    Each batch re-rolls which observed points :func:`occlude` blanks out
+    of the input channel; the loss, over the window's non-NaN points,
+    still sees them, which is what teaches the model to fill gaps.
+    Validation runs without occlusion.
     """
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
 
+    def loss_of(pairs, rows):
+        target = x[rows]
+        observed = ~np.isnan(target)
+        return masked_mse(model.forward(pairs), target, observed), float(observed.sum())
+
     def batch_loss(batch):
-        xb = x[batch].copy()
-        for i in range(batch.shape[0]):
-            hide = mask_random_points(weight[batch[i]] > 0, MASK_FRACTION, rng)
-            xb[i, :, 0, :][hide] = MISSING_FILL
-        loss = masked_mse(model.forward(xb), target[batch], weight[batch])
-        return loss, float(weight[batch].sum())
+        return loss_of(snippet_pairs(occlude(x[batch], rng), y[batch], snippets), batch)
+
+    val_pairs = snippet_pairs(model_inputs(x[val_idx]), y[val_idx], snippets)
 
     def validate():
-        pred = model.forward(x[val_idx])
-        return masked_mse(pred, target[val_idx], weight[val_idx]).item(), None
+        return loss_of(val_pairs, val_idx)[0].item(), None
 
     return _fit(model, config, rng, train_idx, batch_loss, validate)
 
@@ -365,17 +358,15 @@ def train_bundle(
         raise ValueError(f"snippet sets (m, k, ell, starts) {shapes} do not match the "
                          f"config: need {d} sets with m={m}, k={config.k}, one ell and "
                          f"{ts_norm.n - m + 1} subsequence starts")
-    recognizer = RecognizerModel(d, m, config.k, seed=config.seed)
+    bundle = ModelBundle(
+        names=ts_norm.names, norm=norm, snippets=snippet_values(sets), ell=sets[0].ell,
+        recognizer=RecognizerModel(d, m, config.k, seed=config.seed),
+        reconstructor=ReconstructorModel(d, m, latent=config.latent, seed=config.seed),
+        seed=config.seed)
     rx, ry = build_recognizer_dataset(ts_norm, sets, m)
-    recog_history = train_recognizer(recognizer, rx, ry, config)
-
-    reconstructor = ReconstructorModel(d, m, latent=config.latent, seed=config.seed)
-    ax, at, aw = build_reconstructor_dataset(ts_norm, sets, m, recognizer)
-    recon_history = train_reconstructor(reconstructor, ax, at, aw, config)
-
-    bundle = ModelBundle(names=ts_norm.names, norm=norm, snippets=snippet_values(sets),
-                         ell=sets[0].ell, recognizer=recognizer,
-                         reconstructor=reconstructor, seed=config.seed)
+    recog_history = train_recognizer(bundle.recognizer, rx, ry, config)
+    ax, ay = build_reconstructor_dataset(ts_norm, sets, m, bundle.recognizer)
+    recon_history = train_reconstructor(bundle.reconstructor, ax, ay, bundle.snippets, config)
     return bundle, recog_history, recon_history
 
 

@@ -101,6 +101,23 @@ def test_repeated_column_names_exit_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("swapped", ["input", "truth"])
+def test_reordered_coordinates_exit_2_before_any_model_runs(workdir, tmp_path, capsys,
+                                                            monkeypatch, swapped):
+    paths = {"input": workdir / "gapped.csv", "truth": workdir / "full.csv"}
+    ts = read_csv(paths[swapped])
+    paths[swapped] = tmp_path / "swapped.csv"
+    write_csv(TimeSeries(ts.values[:, ::-1], ts.names[::-1]), paths[swapped])
+    monkeypatch.setattr("saeti.pipeline.infer", lambda *a, **k: pytest.fail("a model ran"))
+    assert main(["impute", "--input", str(paths["input"]), "--truth", str(paths["truth"]),
+                 "--bundle", str(workdir / "model.bundle"),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    what = "series" if swapped == "input" else "truth"
+    assert (f"{what} has d=2 coordinates ['s2', 's1'], bundle expects d=2 ['s1', 's2']"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_non_numeric_cell_exits_2(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     text = (workdir / "gapped.csv").read_text().splitlines()
@@ -408,6 +425,31 @@ def test_non_integer_mask_cell_exits_2(workdir, tmp_path, capsys):
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("scenario, flag, value", [
+    ("mcar", "--length", "20"),
+    ("blackout", "--rate", "0.1"),
+    ("ts-nbr", "--rate", "0.1"),
+])
+def test_generate_gaps_rejects_an_option_its_scenario_does_not_use(tmp_path, capsys,
+                                                                   scenario, flag, value):
+    write_csv(two_regime_series(n=400, block=100), tmp_path / "x.csv")
+    rc = main(["generate-gaps", "--input", str(tmp_path / "x.csv"),
+               "--output", str(tmp_path / "g.csv"), "--scenario", scenario, flag, value])
+    assert rc == 2
+    assert f"{flag} does not apply to the {scenario} scenario" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_mcar_rate_defaults_to_a_quarter(tmp_path):
+    write_csv(two_regime_series(n=400, block=100), tmp_path / "x.csv")
+    for name, rate in (("default", []), ("quarter", ["--rate", "0.25"])):
+        assert main(["generate-gaps", "--input", str(tmp_path / "x.csv"),
+                     "--output", str(tmp_path / f"{name}.csv"), "--scenario", "mcar",
+                     "--seed", "3", *rate]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "quarter.csv").read_bytes()
+    assert read_csv(tmp_path / "default.csv").n_missing >= 0.25 * 800
 
 
 def test_mcar_scenario_via_cli(tmp_path):

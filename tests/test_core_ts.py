@@ -142,11 +142,11 @@ def test_norm_params_validation():
 
 def test_split_nonoverlapping_tail_window():
     ts = TimeSeries.from_values(np.arange(20.0).reshape(10, 2))
-    starts, values, mask = split_nonoverlapping(ts, 4)
+    starts, windows = split_nonoverlapping(ts, 4)
     assert starts.tolist() == [0, 4, 6]
-    assert values.shape == mask.shape == (3, 2, 4)
-    assert values[2].tolist() == ts.values[6:10].T.tolist()
-    assert mask.all()
+    assert windows.shape == (3, 2, 4)
+    assert windows[2].tolist() == ts.values[6:10].T.tolist()
+    assert not np.isnan(windows).any()
     covered = set()
     for s in starts:
         covered.update(range(s, s + 4))
@@ -155,7 +155,7 @@ def test_split_nonoverlapping_tail_window():
 
 def test_split_exact_multiple_has_no_overlap():
     ts = TimeSeries.from_values(np.arange(8.0).reshape(8, 1))
-    starts, _, _ = split_nonoverlapping(ts, 4)
+    starts, _ = split_nonoverlapping(ts, 4)
     assert starts.tolist() == [0, 4]
 
 

@@ -21,7 +21,8 @@ def reference_window_predictions(ts, bundle):
     clamped = np.clip(norm.values, 0.0, 1.0)
     span = bundle.norm.maxs - bundle.norm.mins
     preds, usage = {}, np.zeros((bundle.d, bundle.k), dtype=int)
-    for s0, _, mask in zip(*split_nonoverlapping(norm, bundle.m)):
+    for s0, window in zip(*split_nonoverlapping(norm, bundle.m)):
+        mask = ~np.isnan(window)
         if mask.all():
             continue
         inp = np.where(mask, clamped[s0:s0 + bundle.m].T, MISSING_FILL)
@@ -89,6 +90,19 @@ def test_dimension_mismatch_rejected(small_bundle):
     ts = TimeSeries.from_values(np.zeros((64, 3)))
     with pytest.raises(ValueError, match="d=3"):
         impute(ts, small_bundle)
+
+
+@pytest.mark.parametrize("truth_rows, message", [
+    (slice(1, None), "truth has n=1599 steps, series has n=1600"),
+    (slice(None), "nothing to score: truth is missing at every gap"),
+])
+def test_truth_is_checked_before_any_model_runs(small_series, small_bundle, monkeypatch,
+                                                truth_rows, message):
+    gapped, _ = gen_blackout(small_series, 10, 4)
+    monkeypatch.setattr(pipeline, "infer", lambda *a, **k: pytest.fail("a model ran"))
+    truth = TimeSeries(gapped.values[truth_rows], gapped.names)
+    with pytest.raises(ValueError, match=message):
+        impute_report(gapped, small_bundle, truth=truth)
 
 
 def test_report_counters(small_series, small_bundle):

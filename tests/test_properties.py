@@ -109,13 +109,13 @@ def test_impute_keeps_observed_fills_every_gap_and_is_idempotent(case):
 @given(gapped_series())
 def test_split_nonoverlapping_covers_every_step(case):
     ts, m = case
-    starts, values, mask = split_nonoverlapping(ts, m)
+    starts, windows = split_nonoverlapping(ts, m)
     assert np.array_equal(starts, window_starts(ts.n, m))
-    assert values.shape == mask.shape == (starts.shape[0], ts.d, m)
+    assert windows.shape == (starts.shape[0], ts.d, m)
     covered = np.zeros(ts.n, dtype=bool)
-    for s, window, window_mask in zip(starts, values, mask):
+    for s, window in zip(starts, windows):
         covered[s:s + m] = True
-        assert np.array_equal(window_mask, ts.mask[s:s + m].T)
+        assert np.array_equal(~np.isnan(window), ts.mask[s:s + m].T)
         assert np.array_equal(window, ts.values[s:s + m].T, equal_nan=True)
     assert covered.all()
 

@@ -142,6 +142,14 @@ def test_rmse_requires_positions():
         rmse(a, a, np.zeros((10, 3), dtype=bool))
 
 
+def test_rmse_rejects_other_coordinate_names():
+    truth = TimeSeries.from_values(np.arange(6.0).reshape(3, 2), names=("a", "b"))
+    imputed = TimeSeries.from_values(truth.values[:, ::-1], names=("b", "a"))
+    with pytest.raises(ValueError, match=r"imputed has coordinates \['b', 'a'\], "
+                                         r"truth has \['a', 'b'\]"):
+        rmse(imputed, truth, np.ones((3, 2), dtype=bool))
+
+
 def test_rmse_requires_observed_truth():
     vals = np.ones((4, 1))
     truth = TimeSeries.from_values(np.array([[1.0], [np.nan], [1.0], [1.0]]))

@@ -11,7 +11,7 @@ from conftest import two_regime_series
 from saeti import autograd, models, training
 from saeti.autograd import no_grad
 from saeti.core_ts import NormParams, TimeSeries, minmax_normalize, split_nonoverlapping
-from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel
+from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel, model_inputs
 from saeti.scenarios import gen_mcar
 from saeti.snippets import find_all_snippets, snippet_values
 from saeti.training import (
@@ -25,21 +25,24 @@ from saeti.training import (
     label_windows,
     load_bundle,
     mask_random_points,
+    occlude,
     save_bundle,
+    snippet_pairs,
     split_train_val,
     train_bundle,
     train_recognizer,
 )
 
 
-def window_labels(start, values, mask, sets, recognizer=None):
+def window_labels(start, window, sets, recognizer=None):
     """Per-window reference: one (d, m) window, gap windows predicted batch-1."""
+    mask = ~np.isnan(window)
     if mask.all():
         return np.array([sset.ranks[start] for sset in sets])
     if recognizer is None:
         raise ValueError("window has gaps and no classifier was provided")
     with no_grad():
-        return recognizer.predict(np.where(mask, values, MISSING_FILL)[None])[0]
+        return recognizer.predict(np.where(mask, window, MISSING_FILL)[None])[0]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,44 @@ def test_mask_random_points_deterministic_per_seed():
     a = mask_random_points(obs, 0.25, np.random.default_rng(7))
     b = mask_random_points(obs, 0.25, np.random.default_rng(7))
     assert np.array_equal(a, b)
+
+
+def per_sample_occlusion(windows, rng, spread):
+    """Reference: the per-sample loops that set gaps and picks to the fill value.
+
+    Returns the inputs and, per window, its share and the points it hid.
+    """
+    inputs = np.where(np.isnan(windows), MISSING_FILL, windows)
+    shares, hides = [], np.zeros(windows.shape, dtype=bool)
+    for i in range(windows.shape[0]):
+        shares.append(rng.uniform(0.0, 2.0 * MASK_FRACTION) if spread else MASK_FRACTION)
+        hides[i] = mask_random_points(~np.isnan(windows[i]), shares[-1], rng)
+        inputs[i][hides[i]] = MISSING_FILL
+    return inputs, shares, hides
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["fixed-share", "spread-share"])
+def test_occlude_matches_the_per_sample_loop(spread):
+    rng = np.random.default_rng(4)
+    windows = rng.random((40, 2, 16))
+    windows[rng.random(windows.shape) < 0.3] = np.nan
+    windows[0] = np.nan              # nothing to hide
+    windows[1, :, 3:] = np.nan       # 6 observed points, fewer than a quarter of 32
+    before = windows.copy()
+    got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = occlude(windows, got_rng, spread=spread)
+    expected, shares, hides = per_sample_occlusion(windows, ref_rng, spread)
+    assert windows.tobytes() == before.tobytes()
+    assert got.tobytes() == expected.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    gaps = np.isnan(windows)
+    observed = (~gaps).sum(axis=(1, 2))
+    assert hides.sum(axis=(1, 2)).tolist() == [
+        min(int(share * 32), int(n)) for share, n in zip(shares, observed)]
+    assert not (hides & gaps).any()
+    assert np.array_equal(got == MISSING_FILL, gaps | hides)
+    assert np.array_equal(got[~(gaps | hides)], windows[~(gaps | hides)])
 
 
 def test_split_train_val_partition():
@@ -125,30 +166,30 @@ def test_reconstructor_dataset_channels(norm_and_sets):
     vals[40:48, 1] = np.nan
     gappy = TimeSeries.from_values(vals, names=ts_norm.names)
     rec = RecognizerModel(2, 16, 2, seed=0)
-    x, target, weight = build_reconstructor_dataset(gappy, sets, 16, rec)
-    assert x.shape[1:] == (2, 2, 16)
-    assert target.shape == weight.shape == (x.shape[0], 2, 16)
-    # channel 0 carries the fill value at hidden points of window 2
-    w2 = x[2]
-    assert np.any(w2[1, 0, :] == MISSING_FILL)
-    assert not np.isnan(x).any()
-    # channel 1 is always one of the snippets for that coordinate
-    for i in range(x.shape[0]):
-        for j in range(2):
-            match = [np.array_equal(x[i, j, 1], s.values) for s in sets[j].items]
-            assert any(match)
-    # loss weight equals the observed mask: rows 40..47 are positions
-    # 8..15 of the window starting at row 32
-    assert weight[2, 1, 8:16].tolist() == [0.0] * 8
-    assert weight[2, 1, 0:8].tolist() == [1.0] * 8
-    # the batched pair builder reproduces a per-window construction exactly
-    for i, (start, values, mask) in enumerate(zip(*split_nonoverlapping(gappy, 16))):
-        labels = window_labels(start, values, mask, sets, rec)
+    x, y = build_reconstructor_dataset(gappy, sets, 16, rec)
+    starts, windows = split_nonoverlapping(gappy, 16)
+    assert x.shape == windows.shape == (100, 2, 16)
+    assert y.shape == (100, 2)
+    # the gap stays NaN, and the NaN cells are the loss's unobserved
+    # points: rows 40..47 are positions 8..15 of the window starting at row 32
+    assert np.isnan(x[2, 1, 8:16]).all()
+    assert not np.isnan(x[2, 1, 0:8]).any()
+    assert np.isnan(x).sum() == 8
+    assert x.tobytes() == windows.tobytes()
+    # the pairs built from the dataset hold the window with the fill value
+    # at its gap in channel 0 and its matched snippet in channel 1, and
+    # reproduce a per-window construction exactly
+    pairs = snippet_pairs(model_inputs(x), y, snippet_values(sets))
+    assert np.any(pairs[2, 1, 0, :] == MISSING_FILL)
+    assert not np.isnan(pairs).any()
+    for i, (start, window) in enumerate(zip(starts, windows)):
+        labels = window_labels(start, window, sets, rec)
+        assert np.array_equal(y[i], labels)
         pair = np.empty((2, 2, 16))
-        pair[:, 0, :] = np.where(mask, values, MISSING_FILL)
+        pair[:, 0, :] = np.where(np.isnan(window), MISSING_FILL, window)
         for j in range(2):
             pair[j, 1, :] = sets[j].items[labels[j]].values
-        assert np.array_equal(x[i], pair)
+        assert np.array_equal(pairs[i], pair)
 
 
 @pytest.mark.parametrize("chunk", [5, 64])
@@ -156,21 +197,20 @@ def test_label_windows_matches_per_window_reference(norm_and_sets, monkeypatch, 
     ts_norm, _, sets = norm_and_sets
     gappy, _ = gen_mcar(ts_norm, 0.2, 2)
     rec = RecognizerModel(2, 16, 2, seed=3)
-    starts, values, mask = split_nonoverlapping(gappy, 16)
-    n_gap = int((~mask.all(axis=(1, 2))).sum())
+    starts, windows = split_nonoverlapping(gappy, 16)
+    n_gap = int(np.isnan(windows).any(axis=(1, 2)).sum())
     assert 64 < n_gap < starts.shape[0]
     calls = []
     predict = rec.predict
     monkeypatch.setattr(rec, "predict", lambda x: calls.append(len(x)) or predict(x))
     monkeypatch.setattr(models, "GAP_CHUNK", chunk)
-    labels = label_windows(starts, values, mask, sets, rec)
+    labels = label_windows(starts, windows, sets, rec)
     assert calls == [min(chunk, n_gap - lo) for lo in range(0, n_gap, chunk)]
-    expected = np.stack([window_labels(s, w, k, sets, rec)
-                         for s, w, k in zip(starts, values, mask)])
+    expected = np.stack([window_labels(s, w, sets, rec) for s, w in zip(starts, windows)])
     assert labels.dtype == expected.dtype
     assert np.array_equal(labels, expected)
     with pytest.raises(ValueError, match="no classifier"):
-        label_windows(starts, values, mask, sets)
+        label_windows(starts, windows, sets)
 
 
 def test_train_recognizer_learns_separable_data(norm_and_sets):
@@ -356,6 +396,97 @@ def test_training_determinism(norm_and_sets):
     for (_, p1), (_, p2) in zip(b1.reconstructor.parameters(),
                                 b2.reconstructor.parameters()):
         assert np.array_equal(p1.data, p2.data)
+
+
+def old_formulation_calls(x, pairs, target, weight, config):
+    """Reference: each model's forward inputs (and the reconstructor's loss
+    targets and weights) from the per-sample occlusion loops of the -1-filled
+    formulation, in call order, replaying the training RNG of ``config.seed``."""
+    def epochs(n, batch_input, validation):
+        rng = np.random.default_rng(config.seed)
+        train_idx, val_idx = split_train_val(n, VAL_FRACTION, rng)
+        calls, val = [], validation(val_idx, rng)
+        for _ in range(config.max_epochs):
+            order = rng.permutation(train_idx)
+            for lo in range(0, order.shape[0], config.batch_size):
+                calls.append(batch_input(order[lo:lo + config.batch_size], rng))
+            calls.append(val)
+        return calls
+
+    def recognizer_validation(val_idx, rng):
+        val_x = x[val_idx].copy()
+        for i in range(val_x.shape[0]):
+            val_x[i][mask_random_points(np.ones_like(val_x[i], dtype=bool),
+                                        MASK_FRACTION, rng)] = MISSING_FILL
+        return val_x
+
+    def recognizer_batch(batch, rng):
+        xb = x[batch].copy()
+        for i in range(batch.shape[0]):
+            frac = rng.uniform(0.0, 2.0 * MASK_FRACTION)
+            xb[i][mask_random_points(np.ones_like(xb[i], dtype=bool), frac, rng)] = MISSING_FILL
+        return xb
+
+    def reconstructor_batch(batch, rng):
+        xb = pairs[batch].copy()
+        for i in range(batch.shape[0]):
+            hide = mask_random_points(weight[batch[i]] > 0, MASK_FRACTION, rng)
+            xb[i, :, 0, :][hide] = MISSING_FILL
+        return xb, target[batch], weight[batch]
+
+    return (epochs(x.shape[0], recognizer_batch, recognizer_validation),
+            epochs(pairs.shape[0], reconstructor_batch,
+                   lambda rows, rng: (pairs[rows], target[rows], weight[rows])))
+
+
+def test_training_feeds_the_models_what_the_filled_formulation_fed_them(monkeypatch):
+    """Every forward input and loss target/weight of a 2-epoch ``train_bundle``.
+
+    The reference rebuilds the -1-filled pairs, zero-filled targets and
+    float weights, and occludes them with per-sample loops.
+    """
+    gapped, _ = gen_mcar(two_regime_series(n=1600, block=400), 0.1, 7)
+    ts_norm, norm = minmax_normalize(gapped)
+    sets = find_all_snippets(ts_norm, 16, 2)
+    config = TrainConfig(m=16, k=2, seed=5, batch_size=13, max_epochs=2)
+    seen = {RecognizerModel: [], ReconstructorModel: [], "loss": []}
+    for cls in (RecognizerModel, ReconstructorModel):
+        def spy(self, x, *rest, _forward=cls.forward, _calls=seen[cls]):
+            _calls.append(np.array(x))
+            return _forward(self, x, *rest)
+        monkeypatch.setattr(cls, "forward", spy)
+    mse = training.masked_mse
+    monkeypatch.setattr(training, "masked_mse", lambda pred, target, weight: (
+        seen["loss"].append((np.array(target), np.asarray(weight, dtype=float)))
+        or mse(pred, target, weight)))
+    bundle, _, _ = train_bundle(ts_norm, norm, sets, config)
+    monkeypatch.undo()
+
+    starts, windows = split_nonoverlapping(ts_norm, 16)
+    mask = ~np.isnan(windows)
+    filled = np.where(mask, np.clip(windows, 0.0, 1.0), MISSING_FILL)
+    clean, keep = mask.all(axis=(1, 2)), mask.any(axis=(1, 2))
+    assert 0 < clean.sum() < keep.sum()
+    labels = np.array([window_labels(s, w, sets, bundle.recognizer)
+                       for s, w in zip(starts[keep], windows[keep])])
+    pairs = np.stack((filled[keep], bundle.snippets[np.arange(2), labels]), axis=2)
+    recognizer_calls, reconstructor_calls = old_formulation_calls(
+        windows[clean], pairs, np.where(mask, windows, 0.0)[keep],
+        mask[keep].astype(float), config)
+
+    # The recognizer's training calls, then its labeling of the gap windows.
+    n_fit = len(recognizer_calls)
+    assert [a.tobytes() for a in seen[RecognizerModel][:n_fit]] == [
+        a.tobytes() for a in recognizer_calls]
+    labeled = np.concatenate(seen[RecognizerModel][n_fit:])[:(keep & ~clean).sum()]
+    assert labeled.tobytes() == filled[keep & ~clean].tobytes()
+    assert [a.tobytes() for a in seen[ReconstructorModel]] == [
+        xb.tobytes() for xb, _, _ in reconstructor_calls]
+    assert len(seen["loss"]) == len(reconstructor_calls)
+    for (target, weight), (_, old_target, old_weight) in zip(seen["loss"], reconstructor_calls):
+        assert weight.tobytes() == old_weight.tobytes()
+        assert np.array_equal(np.isnan(target), weight == 0)
+        assert np.where(weight > 0, target, 0.0).tobytes() == old_target.tobytes()
 
 
 def test_bundle_rejects_bad_files(tmp_path):
