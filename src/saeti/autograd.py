@@ -343,13 +343,6 @@ def tanh(x: Tensor) -> Tensor:
     return _node(y, (x,), _bwd)
 
 
-def _pad_rows(xt: np.ndarray, pad: int) -> np.ndarray:
-    """``(B, L, C)`` ``xt`` as ``(B·(L+2·pad), C)`` rows, each item between ``pad`` zero rows."""
-    xp = np.zeros((xt.shape[0], xt.shape[1] + 2 * pad, xt.shape[2]))
-    xp[:, pad:pad + xt.shape[1]] = xt
-    return xp.reshape(-1, xt.shape[2])
-
-
 def _conv_steps(xs: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Same-padded convolution of step-major ``(L, B, C_in)`` ``xs``; ``(L, B, C_out)`` out.
 
@@ -388,15 +381,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     ``x`` as step-major ``(L·B, C_in)`` rows (a view when ``x`` lies ``(L,
     B, C_in)`` in memory, else one copy) and holds only its output, a
     ``(B, C_out, L)`` view of an ``(L, B, C_out)`` buffer. The backward
-    pads input and gradient rows item by item for the weight and bias sums.
+    sums weight and bias gradients over the same rows, one GEMM per tap.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv1d input must be (B, C_in, L), got shape {x.data.shape}")
-    _, c_in, kw = weight.data.shape
+    c_out, c_in, kw = weight.data.shape
     if kw % 2 == 0:
         raise ValueError(f"kernel width must be odd, got {kw}")
-    if x.data.shape[1] != c_in:
-        raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, kernel expects {c_in}")
+    batch, channels, length = x.data.shape
+    if channels != c_in:
+        raise ValueError(f"channel mismatch: input has {channels}, kernel expects {c_in}")
     y = _conv_steps(x.data.transpose(2, 0, 1), weight.data)
     y += bias.data
     def _bwd(g):
@@ -405,14 +399,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             # convolution of g with the flipped kernel, C_in and C_out swapped.
             gx = _conv_steps(g.transpose(2, 0, 1), weight.data.transpose(1, 0, 2)[:, :, ::-1])
             x._accumulate(gx.transpose(1, 2, 0), fresh=True)
-        gp = _pad_rows(g.transpose(0, 2, 1), kw // 2)
-        if weight.requires_grad:    # output row r is padded gradient row r + pad
-            rows, pad = len(gp) - kw + 1, kw // 2
-            xp = _pad_rows(x.data.transpose(0, 2, 1), pad)
-            gw = np.stack([xp[t:t + rows].T @ gp[pad:pad + rows] for t in range(kw)])
-            weight._accumulate(gw.transpose(2, 1, 0))
+        n = length * batch    # tap t: gradient rows [lo, hi) by input rows [lo + s, hi + s)
+        g_rows = g.transpose(2, 0, 1).reshape(n, c_out)
+        if weight.requires_grad:
+            x_rows = x.data.transpose(2, 0, 1).reshape(n, c_in)
+            gw = np.zeros((c_out, c_in, kw))
+            for t in range(kw):
+                s = (t - kw // 2) * batch
+                lo, hi = max(0, -s), min(n, n - s)
+                if lo < hi:
+                    gw[:, :, t] = g_rows[lo:hi].T @ x_rows[lo + s:hi + s]
+            weight._accumulate(gw, fresh=True)
         if bias.requires_grad:
-            bias._accumulate(gp.sum(axis=0))
+            bias._accumulate(g_rows.sum(axis=0), fresh=True)
     return _node(y.transpose(1, 2, 0), (x, weight, bias), _bwd)
 
 

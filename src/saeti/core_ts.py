@@ -114,8 +114,12 @@ class NormParams:
         maxs = np.asarray(self.maxs, dtype=float)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ValueError("mins/maxs must be 1-D and equally shaped")
-        if np.any(mins > maxs):
-            raise ValueError("min exceeds max")
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero((mins > maxs) | ~(maxs - mins < np.inf))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"coordinate {j + 1}: range {float(mins[j])!r} to {float(maxs[j])!r} "
+                             + ("runs backwards" if mins[j] > maxs[j] else "overflows float64"))
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
@@ -153,14 +157,20 @@ def apply_normalization(ts: TimeSeries, params: NormParams) -> TimeSeries:
     """Rescale ``ts`` with previously computed parameters.
 
     Used when a new series must live in the frame of the training series.
-    Values outside the training range land outside [0, 1]; callers that
-    feed models clamp separately.
+    Values outside the training range land outside [0, 1], where callers
+    that feed models clamp them; one too far out for float64 raises.
     """
     if params.d != ts.d:
         raise ValueError(f"params have d={params.d}, series has d={ts.d}")
     span = params.maxs - params.mins
     out = np.where(ts.mask, 0.5, np.nan)
-    np.divide(ts.values - params.mins, span, out=out, where=span > 0)
+    with np.errstate(over="ignore"):
+        np.divide(ts.values - params.mins, span, out=out, where=span > 0)
+    if np.isinf(out).any():
+        i, j = np.argwhere(np.isinf(out))[0]
+        raise ValueError(f"row {i + 1}, column {j + 1} ({ts.names[j]}): value "
+                         f"{float(ts.values[i, j])!r} lies too far outside the bundle's "
+                         f"range {float(params.mins[j])!r} to {float(params.maxs[j])!r}")
     return TimeSeries(out, ts.names)
 
 

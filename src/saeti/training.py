@@ -210,20 +210,6 @@ def split_train_val(n: int, val_fraction: float,
     return order[n_val:], order[:n_val]
 
 
-def _batches(order: np.ndarray, size: int):
-    for lo in range(0, order.shape[0], size):
-        yield order[lo:lo + size]
-
-
-def _snapshot(model) -> list[np.ndarray]:
-    return [p.data.copy() for _, p in model.parameters()]
-
-
-def _restore(model, snap: list[np.ndarray]) -> None:
-    for (_, p), data in zip(model.parameters(), snap):
-        p.data = data.copy()
-
-
 def _check_finite(value: float, what: str, epoch: int) -> None:
     if not math.isfinite(value):
         raise RuntimeError(
@@ -245,14 +231,14 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
     opt = Adam(params, lr=config.lr)
     history: list[EpochStats] = []
     best_val = math.inf
-    best_snap = _snapshot(model)
+    best_snap = [p.data.copy() for p in params]
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(train_idx)
         total = 0.0
         count = 0.0
-        for batch in _batches(order, config.batch_size):
-            loss, weight = batch_loss(batch)
+        for lo in range(0, order.shape[0], config.batch_size):
+            loss, weight = batch_loss(order[lo:lo + config.batch_size])
             zero_grads(params)
             loss.backward()
             opt.step()
@@ -269,13 +255,14 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snap = _snapshot(model)
+            best_snap = [p.data.copy() for p in params]
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    _restore(model, best_snap)
+    for p, data in zip(params, best_snap):
+        p.data = data
     return history
 
 

@@ -258,6 +258,47 @@ def test_non_finite_bundle_value_exits_2_without_output(workdir, tmp_path, capsy
     assert f"bundle block {name} holds non-finite values" in capsys.readouterr().err
 
 
+def _with_cells(workdir, path, cells):
+    """The workdir's full.csv with ``{(line, column): text}`` cells replaced, 1-based."""
+    text = (workdir / "full.csv").read_text().splitlines()
+    for (line, column), cell in cells.items():
+        row = text[line - 1].split(",")
+        row[column - 1] = cell
+        text[line - 1] = ",".join(row)
+    path.write_text("\n".join(text) + "\n")
+    return path
+
+
+def test_observed_range_wider_than_float64_exits_2_without_a_bundle(workdir, tmp_path, capsys):
+    bad = _with_cells(workdir, tmp_path / "wide.csv", {(6, 2): "1.7e308", (9, 2): "-1.7e308"})
+    assert main(["train", "--input", str(bad), "--output", str(tmp_path / "b"),
+                 "--m", "16", "--k", "2", "--max-epochs", "1"]) == 2
+    assert ("coordinate 2: range -1.7e+308 to 1.7e+308 overflows float64"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_bundle_range_wider_than_float64_exits_2_without_output(workdir, tmp_path, capsys):
+    header, offset, blob = _split_bundle(workdir)
+    wide = np.array([-1.7e308, -1.7e308, 1.7e308, 1.7e308], dtype="<f8").tobytes()
+    rc, _ = _impute_with_bundle(workdir, tmp_path, blob[:offset] + wide + blob[offset + 32:])
+    assert rc == 2
+    assert ("coordinate 1: range -1.7e+308 to 1.7e+308 overflows float64"
+            in capsys.readouterr().err)
+
+
+def test_value_too_far_outside_the_bundle_range_exits_2_without_output(workdir, tmp_path,
+                                                                       capsys):
+    bad = _with_cells(workdir, tmp_path / "far.csv", {(6, 2): "1.7e308"})
+    out = tmp_path / "out.csv"
+    assert main(["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "row 5, column 2 (s2): value 1.7e+308 lies too far outside the bundle's range" in err
+    assert "non-finite" not in err
+    assert not out.exists()
+
+
 def test_generate_gaps_artifacts(workdir):
     gapped = read_csv(workdir / "gapped.csv")
     assert gapped.n_missing == 20

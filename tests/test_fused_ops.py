@@ -9,12 +9,16 @@ the same values and gradients as ``autograd.conv1d`` and
 kernels wider than the input and non-contiguous inputs.
 
 ``conv1d_padded`` is the item-major formulation ``conv1d`` replaced: one
-accumulating GEMM per tap over zero-padded item-major rows. ``conv1d``
-must give its output and gradients bit for bit at every layer shape of
-the models.
+accumulating GEMM per tap over zero-padded item-major rows, with weight
+and bias gradients summed over those padded rows. At every layer shape
+of the models ``conv1d`` must give its output and input gradient bit for
+bit. Its weight and bias gradients are sums over step-major rows with no
+padding: they must match ``step_major_param_grads`` bit for bit and
+``conv1d_padded`` to within rounding, with a lower peak in the backward.
 
 Further tests check that ``Tensor._accumulate`` never lets two tensors
-share a gradient buffer, that ``conv1d`` hands BLAS its operands without
+share a gradient buffer, that a second conv backward adds into the
+parameter gradients, that ``conv1d`` hands BLAS its operands without
 a copy, that its step-major output reaches the next conv and a GRU
 without a copy, and that ``conv1d`` and ``leaky_relu`` hold only their
 output for the backward.
@@ -97,6 +101,25 @@ def conv1d_padded(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias._accumulate(gp.sum(axis=0))
     return ag._node(y.transpose(0, 2, 1), (x, weight, bias), _bwd)
+
+
+def step_major_param_grads(x: np.ndarray, g: np.ndarray, kw: int):
+    """Weight and bias gradients of a same-padded conv from ``(B, C, L)`` ``x`` and ``g``.
+
+    Step-major rows, in the layout numpy's reshape gives them: tap ``t``
+    pairs every gradient row with the input row ``(t - kw//2)·B`` rows away,
+    where that row exists; the bias gradient is the sum of the rows.
+    """
+    b, c_in, length = x.shape
+    c_out, n = g.shape[1], length * b
+    x_rows = x.transpose(2, 0, 1).reshape(n, c_in)
+    g_rows = g.transpose(2, 0, 1).reshape(n, c_out)
+    gw = np.empty((c_out, c_in, kw))
+    for t in range(kw):
+        shift = (t - kw // 2) * b
+        first, stop = max(0, -shift), min(n, n - shift)
+        gw[:, :, t] = g_rows[first:stop].T @ x_rows[first + shift:stop + shift]
+    return gw, g_rows.sum(axis=0)
 
 
 def gru_graph(xs: list[Tensor], params: ag.GRUParams) -> tuple[list[Tensor], Tensor]:
@@ -183,8 +206,13 @@ def test_conv1d_keeps_the_bits_of_the_padded_formulation(shape, batch, layout):
         y = op(x, w, b)
         (y * probe).sum().backward()
         results.append([y.data] + [t.grad for t in (x, w, b) if t.requires_grad])
-    for new, old in zip(*results, strict=True):
-        assert new.tobytes() == np.ascontiguousarray(old).tobytes()
+    (*new, new_gw, new_gb), (*old, old_gw, old_gb) = results
+    for a, o in zip(new, old, strict=True):      # the output and the input gradient
+        assert a.tobytes() == np.ascontiguousarray(o).tobytes()
+    ref_gw, ref_gb = step_major_param_grads(data, probe, 5)
+    for a, ref, o in ((new_gw, ref_gw, old_gw), (new_gb, ref_gb, old_gb)):
+        assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
+        assert np.abs(a - o).max() <= 1e-12 * np.abs(o).max()
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,6 +334,37 @@ def test_second_backward_adds_without_touching_the_first_source():
     np.testing.assert_array_equal(s.grad, [2.0, 2.0, 2.0])
 
 
+def test_second_conv_backward_adds_into_the_parameter_gradients():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 4, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    probes = [rng.normal(size=(3, 5, 7)) for _ in range(2)]
+
+    def run(probe):
+        y = ag.conv1d(x, w, b)
+        (y * probe).sum().backward()
+        return y
+
+    alone = []
+    for probe in probes:
+        ag.zero_grads([x, w, b])
+        run(probe)
+        alone.append((w.grad, b.grad))
+    ag.zero_grads([x, w, b])
+    outputs = [run(probes[0])]
+    first_w, first_b = w.grad, b.grad
+    outputs.append(run(probes[1]))
+    assert w.grad is first_w and b.grad is first_b
+    (w1, b1), (w2, b2) = alone
+    assert np.array_equal(w.grad, w1 + w2) and np.array_equal(b.grad, b1 + b2)
+    others = [x.data, x.grad, w.data, b.data, w1, b1, w2, b2, *probes]
+    others += [a for y in outputs for a in (y.data, y.grad) if a is not None]
+    for grad in (w.grad, b.grad):
+        assert not any(np.shares_memory(grad, a) for a in others)
+    assert not np.shares_memory(w.grad, b.grad)
+
+
 def test_conv1d_passes_every_dgemm_operand_without_a_copy(monkeypatch):
     """f2py copies a non-Fortran-ordered operand without a warning.
 
@@ -389,6 +448,12 @@ def test_conv1d_holds_only_its_output():
     assert held < 0.51, held
     assert im2col_held > 5.0
     assert peak < im2col_peak, (peak, im2col_peak)
+
+
+def test_conv1d_backward_pads_nothing():
+    peak = _conv_memory(ag.conv1d)[1]
+    padded_peak = _conv_memory(conv1d_padded)[1]
+    assert peak < 0.8 * padded_peak, (peak, padded_peak)
 
 
 def test_leaky_relu_holds_only_its_output_with_the_same_gradient_bits():
