@@ -215,9 +215,10 @@ def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray
 # CSV interchange: a header row of coordinate names, then one row per time
 # step; blank lines are skipped. A cell is stripped of surrounding whitespace;
 # then an empty cell, or one that float() reads as NaN, is missing, and
-# float() parses every other cell. Observed values are written with repr, so
-# they read back bit-exact. Missing cells are written empty; csv quotes a
-# row's only cell as '""' so that a one-column gap is not a blank line.
+# float() parses every other cell. Observed values are written with repr, run
+# once per distinct bit pattern (so -0.0 and 0.0 stay apart), and read back
+# bit-exact. Missing cells are written empty; csv quotes a row's only cell as
+# '""' so that a one-column gap is not a blank line.
 
 def read_csv(path) -> TimeSeries:
     with open(path, newline="") as fh:
@@ -271,9 +272,10 @@ def _raise_first_fault(path, names: tuple[str, ...], rows: list[list[str]]) -> N
 
 
 def write_csv(ts: TimeSeries, path) -> None:
-    cells = np.array(list(map(repr, ts.values.ravel().tolist())), dtype=object)
-    cells[~ts.mask.ravel()] = '""' if ts.d == 1 else ""
-    rows = cells.reshape(ts.values.shape).tolist()
+    bits, cell_of = np.unique(ts.values.ravel().view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    text[np.isnan(bits.view(float))] = '""' if ts.d == 1 else ""
+    rows = text[cell_of].reshape(ts.values.shape).tolist() + [[]]  # [] ends the last line
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(ts.names)
-        fh.write("".join(",".join(row) + "\n" for row in rows))
+        fh.write("\n".join(map(",".join, rows)))

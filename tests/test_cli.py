@@ -495,7 +495,9 @@ def test_mcar_rate_defaults_to_a_quarter(tmp_path):
 
 def test_mcar_scenario_via_cli(tmp_path):
     ts = two_regime_series(n=800, block=200)
-    write_csv(ts, tmp_path / "x.csv")
+    values = ts.values.copy()
+    values[::2, 1], values[1::4, 1] = -0.0, 0.0  # equal as floats, printed apart
+    write_csv(TimeSeries(values, ts.names), tmp_path / "x.csv")
     rc = main(["generate-gaps", "--input", str(tmp_path / "x.csv"),
                "--output", str(tmp_path / "g.csv"),
                "--scenario", "mcar", "--rate", "0.2", "--seed", "3",
@@ -504,6 +506,10 @@ def test_mcar_scenario_via_cli(tmp_path):
     gapped = read_csv(tmp_path / "g.csv")
     assert gapped.n_missing / gapped.mask.size >= 0.2
     assert (tmp_path / "m.csv").exists()
+    cells = [[line.split(",") for line in (tmp_path / name).read_text().splitlines()]
+             for name in ("x.csv", "g.csv")]
+    kept = [(a, b) for row_x, row_g in zip(*cells) for a, b in zip(row_x, row_g) if b]
+    assert all(a == b for a, b in kept) and {"0.0", "-0.0"} <= {b for _, b in kept}
 
 
 @pytest.mark.parametrize("output, mask", [("run.v2/gapped", "run.v2/gapped.mask.csv"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saeti import core_ts
 from saeti.core_ts import (
     NormParams,
     TimeSeries,
@@ -195,8 +196,25 @@ def csv_series(draw):
                       names=(first,) + tuple(f"c{j}" for j in range(1, d)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(csv_series())
+# Bit patterns of a small cell pool: 0.0 and -0.0 (equal as floats, printed
+# apart), a few ordinary values, and NaNs with different payloads (all gaps).
+POOL_BITS = np.array([0.0, -0.0, 0.25, -1.5, 1e16, 5e-324], dtype=float).view(np.uint64).tolist()
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8DEADBEEF0001, 0x7FF0000000000001]
+
+
+@st.composite
+def pooled_csv_series(draw):
+    """Cells drawn from POOL_BITS + NAN_BITS, so values repeat; -0.0 sits
+    beside 0.0 in the first column; d = 1 is one case in three."""
+    n, d = draw(st.integers(2, 12)), draw(st.sampled_from([1, 2, 4]))
+    bits = draw(st.lists(st.sampled_from(POOL_BITS + NAN_BITS), min_size=n * d, max_size=n * d))
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d)
+    values[:2, 0] = 0.0, -0.0
+    return TimeSeries(values, names=tuple(f"c{j}" for j in range(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(csv_series(), pooled_csv_series()))
 def test_write_csv_bytes_match_a_per_cell_csv_writer_and_read_back_bit_exact(ts):
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
@@ -213,6 +231,21 @@ def test_write_csv_bytes_match_a_per_cell_csv_writer_and_read_back_bit_exact(ts)
     assert np.array_equal(back.mask, ts.mask)
     assert np.array_equal(back.values[ts.mask].view(np.uint64),
                           ts.values[ts.mask].view(np.uint64))
+
+
+def test_write_csv_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    ts = TimeSeries(rng.normal(size=50)[rng.integers(0, 50, size=(10_000, 3))])
+    formatted = []
+    monkeypatch.setattr(core_ts, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+    write_csv(ts, tmp_path / "x.csv")
+    assert len(formatted) == len(np.unique(ts.values.view(np.uint64))) == 50
+    assert np.array_equal(read_csv(tmp_path / "x.csv").values, ts.values)
+
+
+def test_write_csv_of_no_rows_is_the_header_alone(tmp_path):
+    write_csv(TimeSeries(np.empty((0, 2)), names=("a", "b")), tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_bytes() == b"a,b\n"
 
 
 def test_csv_cells_follow_the_float_grammar_after_stripping(tmp_path):
