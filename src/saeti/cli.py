@@ -40,13 +40,13 @@ def _write_json(payload: dict, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def _write_mask_csv(hidden: np.ndarray, path: str) -> None:
     """Hidden positions as 1-based (row, col) pairs, row-major order."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "col"])
         for r, c in np.argwhere(hidden):
@@ -55,24 +55,29 @@ def _write_mask_csv(hidden: np.ndarray, path: str) -> None:
 
 def _read_mask_csv(path: str, shape: tuple[int, int]) -> np.ndarray:
     hidden = np.zeros(shape, dtype=bool)
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row", "col"]:
-            raise ValueError(f"{path}: expected a row,col header")
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two cells")
-            pos = []
-            for cell in cells:
-                try:
-                    pos.append(int(cell) - 1)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not an integer: {cell!r}") from None
-            r, c = pos
-            if not (0 <= r < shape[0] and 0 <= c < shape[1]):
-                raise ValueError(f"{path}:{lineno}: position out of range")
-            hidden[r, c] = True
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+        except csv.Error as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    if rows[:1] != [["row", "col"]]:
+        raise ValueError(f"{path}: expected a row,col header")
+    for lineno, cells in enumerate(rows[1:], start=2):
+        if len(cells) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two cells")
+        pos = []
+        for cell in cells:
+            try:
+                pos.append(int(cell) - 1)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not an integer: {cell!r}") from None
+        r, c = pos
+        if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+            raise ValueError(f"{path}:{lineno}: position out of range")
+        hidden[r, c] = True
     return hidden
 
 
@@ -104,7 +109,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     save_bundle(bundle, args.output)
 
     history_path = args.history or args.output + ".history.csv"
-    with open(history_path, "w", newline="") as fh:
+    with open(history_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "epoch", "train_loss", "val_loss", "val_accuracy"])
         for row in recog_history:

@@ -14,6 +14,7 @@ CSVs) are 1-based; internal array indexing is 0-based.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -215,28 +216,78 @@ def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray
 # CSV interchange: a header row of coordinate names, then one row per time
 # step; blank lines are skipped. A cell is stripped of surrounding whitespace;
 # then an empty cell, or one that float() reads as NaN, is missing, and
-# float() parses every other cell. Observed values are written with repr, run
-# once per distinct bit pattern (so -0.0 and 0.0 stay apart), and read back
-# bit-exact. Missing cells are written empty; csv quotes a row's only cell as
-# '""' so that a one-column gap is not a blank line.
+# float() parses every other cell. Two routes read a file. Plain numeric text
+# goes to numpy's C reader: each empty cell becomes "nan", and np.loadtxt
+# strips and converts every cell with the PyOS_string_to_double that float()
+# calls, so the values are float()'s to the bit. What that route does not take
+# (text that is not ASCII, holds a quote or a NUL, which Python 3.10's csv
+# refuses, has no data row or a line longer than csv's field limit) or refuses
+# (a ragged row, a cell such as "1_0" or " ", an infinite cell, lines ended by
+# a bare \r) takes the csv route: csv.reader, strip and float(), which parses
+# it or names the first fault.
+# Observed values are written with repr, run once per distinct bit pattern (so
+# -0.0 and 0.0 stay apart), and read back bit-exact. Missing cells are written
+# empty; csv quotes a row's only cell as '""' so that a one-column gap is not a
+# blank line (a file with such a gap takes the csv route).
 
 def read_csv(path) -> TimeSeries:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        except csv.Error as err:
-            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-        names = tuple(name.strip() for name in header)
-        _check_distinct(names, f"{path}:1: ")
-        rows = []  # rows[i] is line i + 2; a blank line is []
-        try:
-            rows.extend(reader)
-        except csv.Error as err:
-            _raise_first_fault(path, names, rows)  # a fault on an earlier line comes first
-            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+    names, values = _read_plain(text) or _read_rows(path, text)
+    return TimeSeries(values, names)
+
+
+def _read_plain(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Names and values of plain numeric text by numpy's C reader, or None."""
+    if not text.isascii() or '"' in text or "\0" in text:
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    eol = (raw == ord("\n")) | (raw == ord("\r"))
+    line_ends = np.flatnonzero(np.append(eol, True))
+    top = line_ends[0]
+    names = tuple(name.strip() for name in text[:top].split(","))
+    start = top + 1  # the body's first byte; the \n of a \r\n makes a blank line
+    if (top == 0 or len(set(names)) < len(names) or eol[start:].all()
+            or np.diff(line_ends, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None  # a blank header, repeated names, no data row, an over-long line
+    comma = raw[start:] == ord(",")
+    bound = comma | eol[start:]
+    # An empty cell sits between two bounds, one of them a comma (two line
+    # ends make a blank line); the body's start counts as a line end.
+    empty = start + np.flatnonzero(np.insert(bound, 0, True) & np.append(bound, True)
+                                   & (np.insert(comma, 0, False) | np.append(comma, False)))
+    cuts = [start, *empty.tolist(), raw.size]
+    body = "nan".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+                            dtype=float)
+    except ValueError:
+        return None
+    if values.shape[1] != len(names) or np.isinf(values).any():
+        return None
+    return names, values
+
+
+def _read_rows(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Names and values by csv.reader, strip and float(); raises at the first fault."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty CSV") from None
+    except csv.Error as err:
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    names = tuple(name.strip() for name in header)
+    _check_distinct(names, f"{path}:1: ")
+    rows = []  # rows[i] is line i + 2; a blank line is []
+    try:
+        rows.extend(reader)
+    except csv.Error as err:
+        _raise_first_fault(path, names, rows)  # a fault on an earlier line comes first
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     data = [row for row in rows if row]
     cells = [cell.strip() or "nan" for row in data for cell in row]
     try:
@@ -255,7 +306,7 @@ def read_csv(path) -> TimeSeries:
         lineno = [k for k, row in enumerate(rows, start=2) if row][i]
         raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
                          f"non-finite value {float(values[i, j])!r}")
-    return TimeSeries(values, names)
+    return names, values
 
 
 def _raise_first_fault(path, names: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -276,6 +327,6 @@ def write_csv(ts: TimeSeries, path) -> None:
     text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     text[np.isnan(bits.view(float))] = '""' if ts.d == 1 else ""
     rows = text[cell_of].reshape(ts.values.shape).tolist() + [[]]  # [] ends the last line
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(ts.names)
         fh.write("\n".join(map(",".join, rows)))

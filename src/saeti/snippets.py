@@ -178,7 +178,7 @@ def snippet_sets_to_json(sets: list[SnippetSet]) -> str:
 
 
 def write_snippets_json(sets: list[SnippetSet], path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(snippet_sets_to_json(sets))
         fh.write("\n")
 

@@ -463,6 +463,42 @@ def test_non_integer_mask_cell_exits_2(workdir, tmp_path, capsys):
     assert f"{mask}:4: not an integer: 'x'" in capsys.readouterr().err
 
 
+def test_undecodable_or_over_long_csv_exits_2_naming_the_file(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"s1,s2\n0.5,\xff\n")
+    assert main(["impute", "--input", str(bad), "--bundle", str(workdir / "model.bundle"),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert (f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 10"
+            in capsys.readouterr().err)
+    mask = tmp_path / "mask.csv"
+    mask.write_bytes(b"row,col\n\xff,1\n")
+    assert main(["evaluate", "--imputed", str(workdir / "imputed.csv"),
+                 "--truth", str(workdir / "full.csv"), "--mask", str(mask)]) == 2
+    assert (f"error: {mask}: 'utf-8' codec can't decode byte 0xff in position 8"
+            in capsys.readouterr().err)
+    mask.write_text("row,col\n1,1\n" + "1" * 200_000 + ",1\n")
+    assert main(["evaluate", "--imputed", str(workdir / "imputed.csv"),
+                 "--truth", str(workdir / "full.csv"), "--mask", str(mask)]) == 2
+    assert f"error: {mask}:3: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_files_are_utf_8_under_an_ascii_locale(tmp_path):
+    """A non-ASCII coordinate name reads and writes as UTF-8 whatever the locale."""
+    ts = two_regime_series(n=400, block=100)
+    write_csv(TimeSeries(ts.values, names=("température", "s2")), tmp_path / "x.csv")
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from saeti.cli import main; sys.exit(main(sys.argv[1:]))",
+         "generate-gaps", "--input", str(tmp_path / "x.csv"), "--output", str(tmp_path / "g.csv"),
+         "--scenario", "blackout", "--seed", "3"], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "g.csv").read_bytes().startswith("température,s2\n".encode("utf-8"))
+    assert read_csv(tmp_path / "g.csv").names == ("température", "s2")
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -292,6 +293,9 @@ def test_csv_names_the_first_fault_in_file_order(tmp_path):
         read_csv(tmp_path / "huge.csv")
     assert str(info.value) == (f"{tmp_path / 'huge.csv'}:3: "
                                f"field larger than field limit ({csv.field_size_limit()})")
+    # A long cell fails as one even where float() could read it.
+    assert read_error(tmp_path, f"a\n1\n0.{'0' * csv.field_size_limit()}1\n") == \
+        f"bad.csv:3: field larger than field limit ({csv.field_size_limit()})"
     assert read_error(tmp_path, "a,b\n\n\n") == "bad.csv: no data rows"
     assert read_error(tmp_path, "") == "bad.csv: empty CSV"
 
@@ -339,3 +343,141 @@ def test_csv_rejects_infinite_cells(tmp_path):
     path.write_text("a,b\n1.0,2.0\n3.0,-inf\n")
     with pytest.raises(ValueError, match=r"inf.csv:3: column 2 \(b\): non-finite value -inf"):
         read_csv(path)
+
+
+def reference_read_csv(path):
+    """read_csv's grammar and messages, one row and one float() at a time."""
+    rows, infinite = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty CSV")
+            names = tuple(name.strip() for name in header)
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValueError(f"{path}:1: coordinate names must be distinct, "
+                                 f"repeated: {repeated}")
+            for lineno, row in enumerate(reader, start=2):
+                if row and len(row) != len(names):
+                    raise ValueError(f"{path}:{lineno}: expected {len(names)} cells, "
+                                     f"got {len(row)}")
+                for j, cell in enumerate(row):
+                    try:
+                        value = float(cell.strip() or "nan")
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
+                                         f"not a number: {cell.strip()!r}") from None
+                    if math.isinf(value):
+                        infinite.append(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
+                                        f"non-finite value {value!r}")
+                if row:
+                    rows.append([float(cell.strip() or "nan") for cell in row])
+        except csv.Error as err:  # Python 3.10's csv refuses NUL
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if infinite:
+        raise ValueError(infinite[0])
+    return names, np.array(rows)
+
+
+FINITE = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: repr(float(np.uint64(bits).view(np.float64)))),
+    st.sampled_from(EDGE_FLOATS).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", "nan", "-nan", "NaN", "1e-400", " 1.5 ", "\t-2e-3\x1c", "+.5", "5."]),
+)
+ODD = st.one_of(
+    st.text(st.sampled_from(list("0123456789.eE+-_,\"\n\r\t \x0b\x1c\x85\xa0\0١")), max_size=5),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e400", "-1e400", "1_0", "0x10", "١", " ",
+                     "\x0b", '"1.5"', "nan\0"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header, odd in one text in four, and rows of numbers and gaps, with
+    blank lines and \\n or \\r\\n line ends, its rows one cell too short or
+    too long in one text in six; every other text adds junk cells,
+    whitespace-only lines, ragged rows and bare \\r line ends. The last line
+    may lack its end."""
+    d, plain = draw(st.integers(1, 4)), draw(st.booleans())
+    names = ",".join(f"c{j}" for j in range(d))
+    header = names if draw(st.integers(0, 3)) else draw(st.sampled_from(
+        ["", " c0 , c0 ", '"c,0"' + names[2:]]))
+    cell = FINITE if plain else st.one_of(FINITE, ODD)
+    kinds = ["row"] * 6 + ["blank"] + (["ragged", "space"] if not plain else [])
+    lines = [header]
+    width = draw(st.sampled_from([d] * 4 + [d - 1, d + 1]))  # every row's, in plain text
+    for _ in range(draw(st.integers(int(plain), 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \x0b ", "\x1c"])))
+        else:
+            if not plain:
+                width = d if kind == "row" else draw(st.sampled_from([d - 1, d + 1]))
+            lines.append(",".join(draw(st.lists(cell, min_size=width, max_size=width))))
+    ends = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
+    if not plain and draw(st.booleans()):
+        ends = st.just(draw(ends))  # one line end for the whole text, or a mix
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(csv_texts(), csv_series()))
+def test_read_csv_matches_a_cell_by_cell_reference(case):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "x.csv"
+        if isinstance(case, TimeSeries):
+            write_csv(case, path)
+        else:
+            path.write_bytes(case.encode("utf-8"))
+        try:
+            names, values = reference_read_csv(path)
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                read_csv(path)
+            assert str(info.value) == str(err)
+            return
+        ts = read_csv(path)
+    assert ts.names == names
+    assert ts.values.shape == values.shape
+    assert ts.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+
+
+def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
+    rng = np.random.default_rng(25)
+    mcar = rng.normal(size=(10_000, 4))
+    mcar[rng.random(mcar.shape) < 0.25] = np.nan
+    mcar[0, 0] = np.nan  # a gap at the body's first byte
+    blackout = np.tile(np.round(rng.uniform(size=(32, 4)), 2), (313, 1))[:10_000]
+    blackout[5_000:5_010] = np.nan
+    for name, values in (("mcar", mcar), ("blackout", blackout)):
+        write_csv(TimeSeries(values, names=("a", "b", "c", "d")), tmp_path / f"{name}.csv")
+    crlf = (tmp_path / "blackout.csv").read_bytes().replace(b"\n", b"\r\n")
+    (tmp_path / "crlf.csv").write_bytes(crlf)
+    csv_reader = csv.reader
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the csv route was taken")
+
+    monkeypatch.setattr(core_ts.csv, "reader", refuse)
+    for name, values in (("mcar", mcar), ("blackout", blackout), ("crlf", blackout)):
+        ts = read_csv(tmp_path / f"{name}.csv")
+        assert ts.names == ("a", "b", "c", "d")
+        assert np.array_equal(ts.values, values, equal_nan=True)
+    # What numpy's reader refuses still reads, through the csv route.
+    routed = []
+    monkeypatch.setattr(core_ts.csv, "reader",
+                        lambda *args, **kwargs: routed.append(1) or csv_reader(*args, **kwargs))
+    for text, want in (('a,b\n"1.5",2\n', [1.5, 2.0]), ("a,b\n1, \n", [1.0, np.nan]),
+                       ("a,b\n1_0,2\n", [10.0, 2.0])):
+        (tmp_path / "x.csv").write_text(text)
+        assert np.array_equal(read_csv(tmp_path / "x.csv").values, [want], equal_nan=True)
+    assert len(routed) == 3
+
