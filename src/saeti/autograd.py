@@ -232,7 +232,7 @@ class Tensor:
                 self._accumulate(g @ other.data.T, fresh=True)
             if other.requires_grad:
                 other._accumulate(self.data.T @ g, fresh=True)
-        return _node(self.data @ other.data, (self, other), _bwd)
+        return _node(_rows_matmul(self.data, other.data), (self, other), _bwd)
 
     # -- shape ops ---------------------------------------------------------
 
@@ -285,6 +285,22 @@ def _freed(_g):
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for a product whose rows are batch rows, into ``out``.
+
+    A one-row ``a`` runs as two copies and keeps the first, because
+    OpenBLAS takes other kernels for one row; from two rows up a row's
+    product has the same bits in any batch.
+    """
+    if a.shape[0] != 1:
+        return np.matmul(a, b, out=out)
+    first = np.matmul(np.concatenate([a, a]), b)[:1]
+    if out is None:
+        return first
+    out[...] = first
+    return out
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -539,7 +555,7 @@ def gru_forward(xs: Tensor, params: GRUParams) -> Tensor:
     u_zr = np.concatenate([params.u_z.data, params.u_r.data], axis=1)
     u_h = params.u_h.data
     x2 = x.reshape(steps * batch, n_in)
-    proj = x2 @ w
+    proj = _rows_matmul(x2, w)
     proj += np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
     proj = proj.reshape(steps, batch, 3 * hid)
     hs = np.zeros((steps + 1, batch, hid))     # hs[t] is the state before step t
@@ -547,9 +563,9 @@ def gru_forward(xs: Tensor, params: GRUParams) -> Tensor:
     rh = np.empty((steps, batch, hid))
     cand = np.empty((steps, batch, hid))
     for t, (h, a, c, nxt) in enumerate(zip(hs, zr, cand, hs[1:])):
-        _logistic(np.add(np.matmul(h, u_zr, out=a), proj[t, :, :2 * hid], out=a), out=a)
+        _logistic(np.add(_rows_matmul(h, u_zr, out=a), proj[t, :, :2 * hid], out=a), out=a)
         np.multiply(a[:, hid:], h, out=rh[t])
-        np.tanh(np.add(np.matmul(rh[t], u_h, out=c), proj[t, :, 2 * hid:], out=c), out=c)
+        np.tanh(np.add(_rows_matmul(rh[t], u_h, out=c), proj[t, :, 2 * hid:], out=c), out=c)
         np.multiply(a[:, :hid], np.subtract(c, h, out=nxt), out=nxt)   # h' = h + z (c - h)
         nxt += h
     gate_tensors = [t for _, t in params.tensors()]

@@ -228,7 +228,9 @@ def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray
 # Observed values are written with repr, run once per distinct bit pattern (so
 # -0.0 and 0.0 stay apart), and read back bit-exact. Missing cells are written
 # empty; csv quotes a row's only cell as '""' so that a one-column gap is not a
-# blank line (a file with such a gap takes the csv route).
+# blank line (a file with such a gap takes the csv route). The body is one
+# join over all cells and separators: a list per row would set off a young
+# garbage collection every 700 rows.
 
 def read_csv(path) -> TimeSeries:
     with open(path, encoding="utf-8", newline="") as fh:
@@ -326,7 +328,10 @@ def write_csv(ts: TimeSeries, path) -> None:
     bits, cell_of = np.unique(ts.values.ravel().view(np.uint64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     text[np.isnan(bits.view(float))] = '""' if ts.d == 1 else ""
-    rows = text[cell_of].reshape(ts.values.shape).tolist() + [[]]  # [] ends the last line
+    # Row i is grid[i]: each cell's text, then "," or, after the last, "\n".
+    grid = np.full((ts.n, 2 * ts.d), ",", dtype=object)
+    grid[:, 0::2] = text[cell_of].reshape(ts.values.shape)
+    grid[:, -1:] = "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(ts.names)
-        fh.write("\n".join(map(",".join, rows)))
+        fh.write("".join(grid.ravel().tolist()))

@@ -103,16 +103,15 @@ def infer(forward, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
     Each array of ``per_row`` is cut into the same batches as ``x`` and
     passed after it. Chunk outputs (arrays or tensors) are joined along
     the first axis. An empty ``x`` still makes one call, so the result
-    has the right shape. At one BLAS thread a row's output has the same
-    bits in any batch.
+    has the right shape. Every batch goes to ``forward`` as it is, a
+    one-row batch included: the products whose rows are batch rows run a
+    lone row as two copies (``autograd._rows_matmul``), so at one BLAS
+    thread a row's output has the same bits in any batch.
     """
-    n = x.shape[0]
-    if n % GAP_CHUNK == 1:  # never a 1-row batch: OpenBLAS takes other kernels for one row
-        x, *per_row = (np.concatenate([a, a[-1:]]) for a in (x, *per_row))
     with no_grad():
         outs = [forward(*(a[lo:lo + GAP_CHUNK] for a in (x, *per_row)))
                 for lo in range(0, max(x.shape[0], 1), GAP_CHUNK)]
-    return np.concatenate([o.data if isinstance(o, Tensor) else o for o in outs])[:n]
+    return np.concatenate([o.data if isinstance(o, Tensor) else o for o in outs])
 
 
 class RecognizerModel(_Model):

@@ -257,6 +257,23 @@ def test_gru_takes_only_a_time_major_tensor():
     assert states.shape == (4, 2, 4)
 
 
+def test_a_one_row_product_has_the_bits_of_row_0_of_two_rows():
+    """OpenBLAS takes other kernels for one row; the products over batch rows
+    (dense layers and the GRU's) must not."""
+    rng = np.random.default_rng(26)
+    for n_in, n_out in ((128, 12), (32, 1024), (32, 32)):      # the models' dense layers
+        a, w = ag.Tensor(rng.normal(size=(2, n_in))), ag.Tensor(rng.normal(size=(n_in, n_out)))
+        assert (a[:1] @ w).data.tobytes() == (a @ w).data[:1].tobytes()
+    p = ag.GRUParams(64, 128, rng)
+    for _, t in p.tensors():
+        if t.data.ndim == 1:
+            t.data[:] = rng.normal(size=128)
+    for steps in (1, 4):
+        xs = rng.normal(size=(steps, 2, 64))
+        one = ag.gru_forward(ag.Tensor(np.ascontiguousarray(xs[:, :1])), p)
+        assert one.data.tobytes() == ag.gru_forward(ag.Tensor(xs), p).data[:, :1].tobytes()
+
+
 def test_backward_requires_scalar():
     t = ag.Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):

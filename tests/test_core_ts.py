@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saeti import core_ts
@@ -216,6 +216,11 @@ def pooled_csv_series(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(csv_series(), pooled_csv_series()))
+@example(TimeSeries([[1.5, -2.0, 3.25]], names=("a", "b", "c")))          # one row
+@example(TimeSeries([np.nan, 0.5, 0.25, np.nan], names=("a",)))           # gaps first and last
+@example(TimeSeries([[1.0, 2.0], [np.nan, np.nan]], names=("a", "b")))    # the last row all gaps
+@example(TimeSeries([[-0.0, 0.0], [0.0, -0.0]], names=("a", "b")))        # -0.0 beside 0.0
+@example(TimeSeries(np.empty((0, 3)), names=("a", "b", "c")))             # no rows
 def test_write_csv_bytes_match_a_per_cell_csv_writer_and_read_back_bit_exact(ts):
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
@@ -227,6 +232,10 @@ def test_write_csv_bytes_match_a_per_cell_csv_writer_and_read_back_bit_exact(ts)
         path = Path(folder) / "x.csv"
         write_csv(ts, path)
         assert path.read_bytes() == want.getvalue().encode()
+        if ts.n == 0:
+            with pytest.raises(ValueError, match="no data rows"):
+                read_csv(path)
+            return
         back = read_csv(path)
     assert back.names == ts.names
     assert np.array_equal(back.mask, ts.mask)

@@ -218,7 +218,7 @@ def test_infer_gives_every_row_the_bits_of_a_fixed_two_row_batch(two_row, n, see
         assert np.array_equal(got_decoded.view(np.uint64), two_row.decoded(i, mask).view(np.uint64))
 
 
-def test_infer_runs_a_one_row_batch_as_two_copies():
+def test_infer_hands_a_one_row_batch_to_forward_as_it_is():
     calls = []
 
     def forward(x):
@@ -227,5 +227,20 @@ def test_infer_runs_a_one_row_batch_as_two_copies():
 
     x = np.arange(GAP_CHUNK + 1, dtype=float)[:, None]
     assert np.array_equal(infer(forward, x), 2.0 * x)
-    assert [len(c) for c in calls] == [GAP_CHUNK, 2]
-    assert np.array_equal(calls[1], x[[GAP_CHUNK, GAP_CHUNK]])
+    assert [len(c) for c in calls] == [GAP_CHUNK, 1]
+    calls.clear()
+    assert np.array_equal(infer(forward, x[-1:]), 2.0 * x[-1:])
+    assert len(calls) == 1 and np.array_equal(calls[0], x[-1:])
+
+
+def test_a_one_window_training_batch_has_the_forward_bits_of_row_0_of_two_copies(two_row):
+    """Training runs the same guarded products with the gradient graph on, so a
+    batch or validation set of one window gets the bits of a two-row batch."""
+    for i in range(3):
+        logits = two_row.recognizer.forward(two_row.x[[i]])
+        assert logits.requires_grad
+        assert np.array_equal(logits.data[0].view(np.uint64), two_row.logits(i).view(np.uint64))
+        decoded = two_row.reconstructor.forward(two_row.pairs[[i]])
+        assert decoded.requires_grad
+        pair = two_row.reconstructor.forward(two_row.pairs[[i, i]]).data[0]
+        assert np.array_equal(decoded.data[0].view(np.uint64), pair.view(np.uint64))
