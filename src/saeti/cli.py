@@ -112,12 +112,10 @@ def cmd_train(args: argparse.Namespace) -> None:
     with open(history_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "epoch", "train_loss", "val_loss", "val_accuracy"])
-        for row in recog_history:
-            writer.writerow(["recognizer", row.epoch, repr(row.train_loss),
-                             repr(row.val_loss), repr(row.val_accuracy)])
-        for row in recon_history:
-            writer.writerow(["reconstructor", row.epoch, repr(row.train_loss),
-                             repr(row.val_loss), ""])
+        for name, history in (("recognizer", recog_history), ("reconstructor", recon_history)):
+            for row in history:
+                acc = "" if row.val_accuracy is None else repr(row.val_accuracy)
+                writer.writerow([name, row.epoch, repr(row.train_loss), repr(row.val_loss), acc])
     last = recog_history[-1]
     print(f"recognizer: {len(recog_history)} epochs, "
           f"val_loss={last.val_loss:.4f}, val_accuracy={last.val_accuracy:.3f}")

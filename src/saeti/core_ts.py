@@ -93,10 +93,6 @@ class TimeSeries:
     def n_missing(self) -> int:
         return int((~self.mask).sum())
 
-    def coord(self, j: int) -> np.ndarray:
-        """Values of coordinate ``j`` (0-based), NaN at missing points."""
-        return self.values[:, j]
-
     @classmethod
     def from_values(cls, values, names: Sequence[str] = ()) -> "TimeSeries":
         """The same as ``TimeSeries(values, names)``."""

@@ -5,9 +5,9 @@ series. A window's gaps are NaN up to :func:`model_inputs`, the one
 place that sets them to -1, outside the observed [0, 1] range. Shapes
 follow the (batch, coordinate, time) convention throughout; conv
 activations lie (time, batch, channel) in memory behind it, so the
-hand-offs to and from the GRUs need no transposing copy. Every inference prepares windows with
-:func:`model_inputs` and runs through :func:`infer`, except validation:
-it stays one forward over all its windows, as batches would change its bits.
+hand-offs to and from the GRUs need no transposing copy. Every inference,
+training's validation included, prepares windows with :func:`model_inputs`
+and runs through :func:`infer`.
 """
 
 from __future__ import annotations
@@ -161,10 +161,6 @@ class RecognizerModel(_Model):
         return np.argmax(self.forward(x).data, axis=-1)
 
 
-def default_latent(d: int, m: int) -> int:
-    return math.ceil(d * m / 4)
-
-
 class ReconstructorModel(_Model):
     """Autoencode windows paired with their matched snippet.
 
@@ -194,10 +190,10 @@ class ReconstructorModel(_Model):
 
     @staticmethod
     def latent_size(d: int, m: int, latent: int | None = None) -> int:
-        """The bottleneck size; ``ValueError`` unless the model can be built."""
+        """The bottleneck size, by default ceil(d*m/4); ``ValueError`` if unbuildable."""
         if d < 1 or m < 1:
             raise ValueError("d and m must be positive")
-        z = default_latent(d, m) if latent is None else int(latent)
+        z = math.ceil(d * m / 4) if latent is None else int(latent)
         if z >= d * m:
             raise ValueError(f"latent not compressive: z={z} >= d*m={d * m}")
         if z < 1:

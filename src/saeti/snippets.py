@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_ts import TimeSeries
-from .mpdist import default_inner_window, mpdist_profile_matrix
+from .mpdist import mpdist_profile_matrix
 
 __all__ = [
     "Snippet",
@@ -85,7 +85,6 @@ def find_snippets(values: np.ndarray, m: int, k: int,
         Coordinate index recorded on the result (0-based).
     """
     values = np.asarray(values, dtype=float)
-    ell = default_inner_window(m) if ell is None else ell
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
@@ -122,13 +121,13 @@ def find_snippets(values: np.ndarray, m: int, k: int,
         Snippet(index=int(idx), values=values[(idx - 1) * m:idx * m].copy(),
                 frac=int(size) / n_retained)
         for idx, size in zip(profile.segment_indices[chosen[order]], sizes[order]))
-    return SnippetSet(coord=coord, m=m, k=k, ell=ell, items=items, ranks=ranks)
+    return SnippetSet(coord=coord, m=m, k=k, ell=profile.ell, items=items, ranks=ranks)
 
 
 def find_all_snippets(ts: TimeSeries, m: int, k: int,
                       ell: int | None = None) -> list[SnippetSet]:
     """Run snippet discovery on every coordinate independently."""
-    return [find_snippets(ts.coord(j), m, k, ell=ell, coord=j) for j in range(ts.d)]
+    return [find_snippets(ts.values[:, j], m, k, ell=ell, coord=j) for j in range(ts.d)]
 
 
 def label_subsequence(starts, sset: SnippetSet) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Adam, cross_entropy, masked_mse, no_grad, zero_grads
+from .autograd import Adam, Tensor, cross_entropy, masked_mse, zero_grads
 from .core_ts import NormParams, TimeSeries, split_nonoverlapping
 from .models import RecognizerModel, ReconstructorModel, infer, model_inputs
 from .mpdist import _inner_window
@@ -224,8 +224,8 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
     Each epoch visits ``train_idx`` in a fresh ``rng`` permutation, in
     batches of ``config.batch_size``. ``batch_loss(batch)`` returns the
     batch's loss tensor and its weight; the epoch's training loss is the
-    weighted mean of the batch losses. ``validate()`` runs without a
-    gradient graph and returns ``(val_loss, val_accuracy or None)``.
+    weighted mean of the batch losses. ``validate()`` returns ``(val_loss,
+    val_accuracy or None)``; its forwards run graph-free in ``models.infer``.
     """
     params = [p for _, p in model.parameters()]
     opt = Adam(params, lr=config.lr)
@@ -248,8 +248,7 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
         train_loss = total / count
         _check_finite(train_loss, "training loss", epoch)
 
-        with no_grad():
-            val_loss, val_acc = validate()
+        val_loss, val_acc = validate()
         _check_finite(val_loss, "validation loss", epoch)
         history.append(EpochStats(epoch, train_loss, val_loss, val_acc))
 
@@ -278,8 +277,8 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
     untouched windows to mostly-hidden ones, so training has to cover
     that whole range; a fixed share would let it key on the occlusion
     pattern itself. Validation inputs get one fixed occlusion at the
-    nominal fraction drawn up front; accuracy in the history rows is
-    measured on those.
+    nominal fraction drawn up front and run through :func:`models.infer`;
+    the history rows' loss and accuracy are measured on those.
     """
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
@@ -291,9 +290,9 @@ def train_recognizer(model: RecognizerModel, x: np.ndarray, y: np.ndarray,
         return loss, batch.shape[0]
 
     def validate():
-        logits = model.forward(val_x)
-        val_loss = cross_entropy(logits, y[val_idx]).item() / val_idx.shape[0]
-        return val_loss, float(np.mean(np.argmax(logits.data, axis=-1) == y[val_idx]))
+        logits = infer(model.forward, val_x)
+        val_loss = cross_entropy(Tensor(logits), y[val_idx]).item() / val_idx.shape[0]
+        return val_loss, float(np.mean(np.argmax(logits, axis=-1) == y[val_idx]))
 
     return _fit(model, config, rng, train_idx, batch_loss, validate)
 
@@ -305,23 +304,24 @@ def train_reconstructor(model: ReconstructorModel, x: np.ndarray, y: np.ndarray,
     Each batch re-rolls which observed points :func:`occlude` blanks out
     of the input channel; the loss, over the window's non-NaN points,
     still sees them, which is what teaches the model to fill gaps.
-    Validation runs without occlusion.
+    Validation runs unoccluded through :func:`models.infer`.
     """
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = split_train_val(x.shape[0], VAL_FRACTION, rng)
 
-    def loss_of(pairs, rows):
+    def loss_of(pred, rows):
         target = x[rows]
         observed = ~np.isnan(target)
-        return masked_mse(model.forward(pairs), target, observed), float(observed.sum())
+        return masked_mse(pred, target, observed), float(observed.sum())
 
     def batch_loss(batch):
-        return loss_of(snippet_pairs(occlude(x[batch], rng), y[batch], snippets), batch)
+        pairs = snippet_pairs(occlude(x[batch], rng), y[batch], snippets)
+        return loss_of(model.forward(pairs), batch)
 
     val_pairs = snippet_pairs(model_inputs(x[val_idx]), y[val_idx], snippets)
 
     def validate():
-        return loss_of(val_pairs, val_idx)[0].item(), None
+        return loss_of(Tensor(infer(model.forward, val_pairs)), val_idx)[0].item(), None
 
     return _fit(model, config, rng, train_idx, batch_loss, validate)
 

@@ -10,7 +10,6 @@ from saeti.models import (
     MISSING_FILL,
     RecognizerModel,
     ReconstructorModel,
-    default_latent,
     infer,
 )
 
@@ -70,9 +69,9 @@ def test_parameter_names_unique_and_stable():
 
 
 def test_default_latent_quarter():
-    assert default_latent(4, 32) == 32
-    assert default_latent(2, 16) == 8
-    assert default_latent(1, 5) == 2
+    assert ReconstructorModel.latent_size(4, 32) == 32
+    assert ReconstructorModel.latent_size(2, 16) == 8
+    assert ReconstructorModel.latent_size(1, 5) == 2
 
 
 def test_reconstructor_latent_validation():

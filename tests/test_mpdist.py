@@ -270,8 +270,8 @@ def test_profile_matrix_matches_explicit_differences(name, per_chunk, monkeypatc
         monkeypatch.setattr(MPDIST, "_CHUNK_ENTRIES",
                             per_chunk * (m - ell + 1) * (ts.n - ell + 1))
     for j in range(ts.d):
-        got = mpdist_profile_matrix(ts.coord(j), m)
-        ref = reference_profile_matrix(ts.coord(j), m)
+        got = mpdist_profile_matrix(ts.values[:, j], m)
+        ref = reference_profile_matrix(ts.values[:, j], m)
         for field in ("segment_indices", "subseq_starts"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert np.array_equal(got.dist == 0.0, ref.dist == 0.0)
@@ -314,10 +314,10 @@ def _three_step_chunks(values, m):
 
 
 FOLDED_FIXTURES = {
-    "noisy": lambda: (three_regime_series(n=10000).coord(0)
+    "noisy": lambda: (three_regime_series(n=10000).values[:, 0]
                       + np.random.default_rng(5).normal(0.0, 0.02, 10000), 32),
-    "planted_regimes": lambda: (three_regime_series(n=10000).coord(1), 32),
-    "planted_blocks": lambda: (_planted_blocks()[0].coord(0), 16),
+    "planted_regimes": lambda: (three_regime_series(n=10000).values[:, 1], 32),
+    "planted_blocks": lambda: (_planted_blocks()[0].values[:, 0], 16),
 }
 
 

@@ -42,7 +42,7 @@ def test_fracs_ordered_non_increasing():
 def test_two_regime_series_splits_evenly():
     ts = two_regime_series(n=2000, block=400)
     norm, _ = minmax_normalize(ts)
-    sset = find_snippets(norm.coord(0), 40, 2)
+    sset = find_snippets(norm.values[:, 0], 40, 2)
     # one snippet per regime, both claiming near half of the windows
     assert 0.4 <= sset.items[0].frac <= 0.6
     assert 0.4 <= sset.items[1].frac <= 0.6

@@ -388,6 +388,41 @@ def test_fit_holds_one_graph_at_a_time():
     assert fit < 1.5 * one, (fit, one)
 
 
+def test_validation_runs_in_infer_batches_that_change_no_byte(tmp_path, monkeypatch):
+    """Each model's validation is ``models.infer``'s graph-free batches.
+
+    104 clean windows hold out 26 for validation. At ``GAP_CHUNK = 5`` each
+    epoch runs them as six forwards, the last of one row; the history rows
+    and the bundle bytes equal those of one forward over all 26.
+    """
+    ts_norm, norm = minmax_normalize(two_regime_series(n=1664, block=416))
+    sets = find_all_snippets(ts_norm, 16, 2)
+    config = TrainConfig(m=16, k=2, seed=5, max_epochs=2)
+    forwards = {cls: cls.forward for cls in (RecognizerModel, ReconstructorModel)}
+
+    def counted(forward, rows):
+        def wrapper(self, x, *rest):
+            out = forward(self, x, *rest)
+            if not out.requires_grad:
+                rows.append(len(x))
+            return out
+        return wrapper
+
+    runs = {}
+    for chunk in (5, 10_000):
+        monkeypatch.setattr(models, "GAP_CHUNK", chunk)
+        rows = {cls: [] for cls in forwards}
+        for cls, forward in forwards.items():
+            monkeypatch.setattr(cls, "forward", counted(forward, rows[cls]))
+        bundle, rec_history, con_history = train_bundle(ts_norm, norm, sets, config)
+        save_bundle(bundle, tmp_path / "model.bundle")
+        runs[chunk] = (rec_history, con_history, (tmp_path / "model.bundle").read_bytes())
+        batches = [5, 5, 5, 5, 5, 1] if chunk == 5 else [26]
+        assert rows[RecognizerModel] == batches * len(rec_history)
+        assert rows[ReconstructorModel] == batches * len(con_history)
+    assert runs[5] == runs[10_000]
+
+
 def test_training_determinism(norm_and_sets):
     ts_norm, norm, sets = norm_and_sets
     config = TrainConfig(m=16, k=2, seed=7, max_epochs=2)
