@@ -410,26 +410,34 @@ def csv_texts(draw):
     """A header, odd in one text in four, and rows of numbers and gaps, with
     blank lines and \\n or \\r\\n line ends, its rows one cell too short or
     too long in one text in six; every other text adds junk cells,
-    whitespace-only lines, ragged rows and bare \\r line ends. The last line
-    may lack its end."""
+    whitespace-only lines, ragged rows and bare \\r line ends. In half the
+    texts every non-blank line is drawn from a pool of 1-3 lines, so lines
+    repeat, each time with its own line end. The last line may lack its end."""
     d, plain = draw(st.integers(1, 4)), draw(st.booleans())
     names = ",".join(f"c{j}" for j in range(d))
     header = names if draw(st.integers(0, 3)) else draw(st.sampled_from(
         ["", " c0 , c0 ", '"c,0"' + names[2:]]))
     cell = FINITE if plain else st.one_of(FINITE, ODD)
     kinds = ["row"] * 6 + ["blank"] + (["ragged", "space"] if not plain else [])
-    lines = [header]
     width = draw(st.sampled_from([d] * 4 + [d - 1, d + 1]))  # every row's, in plain text
+
+    def new_line(kind):
+        if kind == "space":
+            return draw(st.sampled_from([" ", "\t", " \x0b ", "\x1c"]))
+        size = width if plain else d if kind == "row" else draw(st.sampled_from([d - 1, d + 1]))
+        return ",".join(draw(st.lists(cell, min_size=size, max_size=size)))
+
+    pool = None
+    if draw(st.booleans()):
+        filled = st.sampled_from([kind for kind in kinds if kind != "blank"])
+        pool = [new_line(draw(filled)) for _ in range(draw(st.integers(1, 3)))]
+    lines = [header]
     for _ in range(draw(st.integers(int(plain), 8))):
         kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append("")
-        elif kind == "space":
-            lines.append(draw(st.sampled_from([" ", "\t", " \x0b ", "\x1c"])))
         else:
-            if not plain:
-                width = d if kind == "row" else draw(st.sampled_from([d - 1, d + 1]))
-            lines.append(",".join(draw(st.lists(cell, min_size=width, max_size=width))))
+            lines.append(draw(st.sampled_from(pool)) if pool else new_line(kind))
     ends = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
     if not plain and draw(st.booleans()):
         ends = st.just(draw(ends))  # one line end for the whole text, or a mix
@@ -439,6 +447,8 @@ def csv_texts(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(csv_texts(), csv_series()))
+@example("\r\n1.0\r\n")                   # a blank header ended by \r\n
+@example("a,b\n1,\n\n,2\r\n1,\r\n1,\r,2\n")  # repeats, a blank line, a bare \r
 def test_read_csv_matches_a_cell_by_cell_reference(case):
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "x.csv"
@@ -459,7 +469,10 @@ def test_read_csv_matches_a_cell_by_cell_reference(case):
     assert ts.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
 
 
-def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
+def write_plain_files(folder) -> dict[str, np.ndarray]:
+    """Three 10 000 x 4 files of plain numeric text, by name: "mcar" with a
+    quarter of its cells missing, "blackout" of 32 distinct rows tiled with
+    one 10-row gap, and "crlf", that file with \\r\\n line ends."""
     rng = np.random.default_rng(25)
     mcar = rng.normal(size=(10_000, 4))
     mcar[rng.random(mcar.shape) < 0.25] = np.nan
@@ -467,16 +480,21 @@ def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
     blackout = np.tile(np.round(rng.uniform(size=(32, 4)), 2), (313, 1))[:10_000]
     blackout[5_000:5_010] = np.nan
     for name, values in (("mcar", mcar), ("blackout", blackout)):
-        write_csv(TimeSeries(values, names=("a", "b", "c", "d")), tmp_path / f"{name}.csv")
-    crlf = (tmp_path / "blackout.csv").read_bytes().replace(b"\n", b"\r\n")
-    (tmp_path / "crlf.csv").write_bytes(crlf)
+        write_csv(TimeSeries(values, names=("a", "b", "c", "d")), folder / f"{name}.csv")
+    crlf = (folder / "blackout.csv").read_bytes().replace(b"\n", b"\r\n")
+    (folder / "crlf.csv").write_bytes(crlf)
+    return {"mcar": mcar, "blackout": blackout, "crlf": blackout}
+
+
+def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
+    files = write_plain_files(tmp_path)
     csv_reader = csv.reader
 
     def refuse(*args, **kwargs):
         raise AssertionError("the csv route was taken")
 
     monkeypatch.setattr(core_ts.csv, "reader", refuse)
-    for name, values in (("mcar", mcar), ("blackout", blackout), ("crlf", blackout)):
+    for name, values in files.items():
         ts = read_csv(tmp_path / f"{name}.csv")
         assert ts.names == ("a", "b", "c", "d")
         assert np.array_equal(ts.values, values, equal_nan=True)
@@ -490,3 +508,25 @@ def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
         assert np.array_equal(read_csv(tmp_path / "x.csv").values, [want], equal_nan=True)
     assert len(routed) == 3
 
+
+
+def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
+    files = write_plain_files(tmp_path)
+    text = (tmp_path / "blackout.csv").read_text()
+    end = text.rindex("\n", 0, -1)  # the end of row 9 999 becomes a bare \r
+    (tmp_path / "bare.csv").write_text(text[:end] + "\r" + text[end + 1:])
+    loadtxt, parsed = np.loadtxt, []
+
+    def counted(lines, *args, **kwargs):
+        parsed.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(core_ts.np, "loadtxt", counted)
+    # The MCAR file's rows, each once; none for a bare \r, which only the csv
+    # route reads; else 32 distinct rows and the gap rows.
+    want = {"mcar": [10_000], "bare": []}
+    for name, values in {**files, "bare": files["blackout"]}.items():
+        parsed.clear()
+        ts = read_csv(tmp_path / f"{name}.csv")
+        assert ts.values.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+        assert parsed == want[name] if name in want else sum(parsed) <= 42
