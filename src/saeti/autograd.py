@@ -26,7 +26,8 @@ Conventions baked in here:
   the caller holds, and leaf gradients accumulate across graphs until
   :func:`zero_grads` resets them to exact zeros;
 * convolutions take batched ``(B, C_in, L)`` input, use same-padding
-  with zeros and odd kernel widths;
+  with zeros and odd kernel widths; their ``(C_out, C_in, kw)`` kernels
+  are stored tap-major (Fortran order, see :func:`is_conv_kernel`);
 * max-pooling takes pairs, keeps a trailing singleton window for odd
   lengths and routes gradient to the first maximal element on ties;
 * leaky ReLU slope is ``LEAKY_SLOPE`` (0.01);
@@ -53,6 +54,7 @@ __all__ = [
     "no_grad",
     "concat",
     "conv1d",
+    "is_conv_kernel",
     "maxpool1d",
     "relu",
     "leaky_relu",
@@ -359,15 +361,26 @@ def tanh(x: Tensor) -> Tensor:
     return _node(y, (x,), _bwd)
 
 
+def is_conv_kernel(name: str, shape: tuple[int, ...]) -> bool:
+    """Whether the parameter ``name`` of ``shape`` is a conv kernel: a 3-D weight.
+
+    Kernels lie tap-major, in the Fortran order of their ``(C_out, C_in,
+    kw)`` shape, from init through training to the bundle file.
+    """
+    return name.rsplit(".", 1)[-1] == "weight" and len(shape) == 3
+
+
 def _conv_steps(xs: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Same-padded convolution of step-major ``(L, B, C_in)`` ``xs``; ``(L, B, C_out)`` out.
 
     Step ``l`` is the row block ``[l·B, (l+1)·B)``, so tap ``t`` (shift ``s =
     t - kw//2`` steps) is one GEMM from rows ``[lo + s·B, hi + s·B)`` into
-    output rows ``[lo, hi)``, for every step whose source exists. OpenBLAS
-    sums the last (columns mod 4) of a GEMM with one or two output rows in
-    another order, so each call spans a multiple of 4 rows: the rows it
-    adds land in 3 spare rows at either end of the output.
+    output rows ``[lo, hi)``, for every step whose source exists: the kn2row
+    form of a convolution. Each GEMM reads ``W[:, :, t]`` in Fortran order,
+    so a tap-major kernel is read as it lies and any other is copied once.
+    OpenBLAS sums the last (columns mod 4) of a GEMM with one or two output
+    rows in another order, so each call spans a multiple of 4 rows: the rows
+    it adds land in 3 spare rows at either end of the output.
     """
     length, b, c_in = xs.shape
     c_out, _, kw = weight.shape
@@ -375,7 +388,7 @@ def _conv_steps(xs: np.ndarray, weight: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(xs).reshape(n, c_in)
     y = np.empty((n + 6, c_out))
     y[n + 3:] = 0.0
-    taps = weight.transpose(2, 1, 0).copy()     # taps[t].T is W[:, :, t], Fortran order
+    taps = np.ascontiguousarray(weight.transpose(2, 1, 0))  # taps[t].T is W[:, :, t]
     for t in range(kw):
         s = (t - kw // 2) * b
         lo, hi = max(0, -s), min(n, n - s)
@@ -396,8 +409,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     with odd ``kw``; output length equals input length. One node that reads
     ``x`` as step-major ``(L·B, C_in)`` rows (a view when ``x`` lies ``(L,
     B, C_in)`` in memory, else one copy) and holds only its output, a
-    ``(B, C_out, L)`` view of an ``(L, B, C_out)`` buffer. The backward
-    sums weight and bias gradients over the same rows, one GEMM per tap.
+    ``(B, C_out, L)`` view of an ``(L, B, C_out)`` buffer. The kernel is
+    read without a copy when it lies tap-major (Fortran order, as every
+    model kernel does, see :func:`is_conv_kernel`); any other order gives
+    the same bits. The backward sums weight and bias gradients over the
+    same rows, one GEMM per tap, into a tap-major weight gradient.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv1d input must be (B, C_in, L), got shape {x.data.shape}")
@@ -419,7 +435,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         g_rows = g.transpose(2, 0, 1).reshape(n, c_out)
         if weight.requires_grad:
             x_rows = x.data.transpose(2, 0, 1).reshape(n, c_in)
-            gw = np.zeros((c_out, c_in, kw))
+            gw = np.zeros((c_out, c_in, kw), order="F")
             for t in range(kw):
                 s = (t - kw // 2) * batch
                 lo, hi = max(0, -s), min(n, n - s)
@@ -618,12 +634,18 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
 
 
 def init_weight(shape, rng: np.random.Generator | None, glorot: bool = True) -> Tensor:
-    """A glorot-uniform weight, or zeros (a bias) without ``glorot``. With no
-    ``rng`` it is a read-only zero placeholder that draws nothing and takes no
-    memory, for a loader to replace with its own array."""
+    """A glorot-uniform weight, or zeros (a bias) without ``glorot``. A conv
+    kernel takes the same draws and is stored tap-major. With no ``rng`` it is
+    a read-only zero placeholder that draws nothing and takes no memory, for a
+    loader to replace with its own array."""
     if rng is None:
         return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
-    return glorot_uniform(shape, rng) if glorot else Tensor(np.zeros(shape), requires_grad=True)
+    if not glorot:
+        return Tensor(np.zeros(shape), requires_grad=True)
+    weight = glorot_uniform(shape, rng)
+    if is_conv_kernel("weight", weight.shape):
+        weight.data = np.asfortranarray(weight.data)
+    return weight
 
 
 class Adam:

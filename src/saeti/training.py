@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Adam, Tensor, cross_entropy, masked_mse, zero_grads
+from .autograd import Adam, Tensor, cross_entropy, is_conv_kernel, masked_mse, zero_grads
 from .core_ts import NormParams, TimeSeries, split_nonoverlapping
 from .models import RecognizerModel, ReconstructorModel, infer, model_inputs
 from .mpdist import _inner_window
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 BUNDLE_MAGIC = b"SAETIMB1"
-BUNDLE_FORMAT = 2
+BUNDLE_FORMAT = 3
 # Share of windows held out for validation, and of points occluded.
 VAL_FRACTION = 0.25
 MASK_FRACTION = 0.25
@@ -231,7 +232,7 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
     opt = Adam(params, lr=config.lr)
     history: list[EpochStats] = []
     best_val = math.inf
-    best_snap = [p.data.copy() for p in params]
+    best_snap = [p.data.copy(order="K") for p in params]   # kernels stay tap-major
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(train_idx)
@@ -254,14 +255,14 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snap = [p.data.copy() for p in params]
+            best_snap = [p.data.copy(order="K") for p in params]
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
     for p, data in zip(params, best_snap):
-        p.data = data
+        np.copyto(p.data, data)
     return history
 
 
@@ -373,8 +374,10 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
     The header holds the config and the ``[name, shape]`` of every array;
     the arrays follow as little-endian float64 in that order (norm,
-    snippets, classifier, then autoencoder parameters), so a load followed
-    by a save reproduces the file byte for byte.
+    snippets, classifier, then autoencoder parameters), a conv kernel's
+    block tap-major (the Fortran order of its shape, as it lies in memory)
+    and every other block in C order, so a load followed by a save
+    reproduces the file byte for byte.
     """
     arrays = _arrays(bundle)
     header = {
@@ -395,8 +398,10 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         fh.write(BUNDLE_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for name, a in arrays:
+            # A Fortran-ordered array's transpose lies in C order: no copy.
+            fh.write(np.ascontiguousarray(a.T if is_conv_kernel(name, a.shape) else a,
+                                          dtype="<f8"))
 
 
 def load_bundle(path) -> ModelBundle:
@@ -404,27 +409,32 @@ def load_bundle(path) -> ModelBundle:
 
     The config must name ``d`` distinct coordinates, the arrays the header
     lists must be exactly those of a bundle built from its config, every
-    value must be finite, and the file must end with the last block.
+    value must be finite, and the file must end with the last block. The
+    file's size is checked against the config before any block is
+    allocated; each block is then read straight into its own array.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != BUNDLE_MAGIC:
-        raise ValueError("not a model bundle: bad magic")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    if 16 + header_len > len(blob):
-        raise ValueError("truncated bundle: header extends past end of file")
-    header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: bundle header is not a JSON object")
-    try:
-        return _bundle_from_header(header, blob, 16 + header_len)
-    except KeyError as exc:
-        raise ValueError(f"bundle header is missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: bundle header has a field of the wrong type: {exc}") from None
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 16 or head[:8] != BUNDLE_MAGIC:
+            raise ValueError("not a model bundle: bad magic")
+        (header_len,) = struct.unpack("<Q", head[8:])
+        if 16 + header_len > size:
+            raise ValueError("truncated bundle: header extends past end of file")
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: bundle header is not a JSON object")
+        try:
+            return _bundle_from_header(header, fh, size - 16 - header_len)
+        except KeyError as exc:
+            raise ValueError(f"bundle header is missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(
+                f"{path}: bundle header has a field of the wrong type: {exc}") from None
 
 
-def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
+def _bundle_from_header(header: dict, fh, available: int) -> ModelBundle:
+    """The bundle whose blocks follow in ``fh``, which holds ``available`` bytes more."""
     if header["format"] != BUNDLE_FORMAT:
         raise ValueError(
             f"unsupported bundle format {header['format']!r}; "
@@ -455,20 +465,23 @@ def _bundle_from_header(header: dict, blob: bytes, offset: int) -> ModelBundle:
         seed=seed)
     arrays = _arrays(bundle)
     expected = 8 * sum(a.size for _, a in arrays)
-    if len(blob) - offset < expected:
-        raise ValueError(f"truncated bundle: {len(blob) - offset} bytes of arrays, "
+    if available < expected:
+        raise ValueError(f"truncated bundle: {available} bytes of arrays, "
                          f"its config implies {expected}")
-    if len(blob) - offset > expected:
+    if available > expected:
         raise ValueError("bundle has trailing bytes")
     if header["arrays"] != [[name, list(a.shape)] for name, a in arrays]:
         raise ValueError("bundle arrays do not match its config")
     blocks = []
     for name, a in arrays:
-        block = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset)
+        kernel = is_conv_kernel(name, a.shape)
+        block = np.empty(a.shape, dtype="<f8", order="F" if kernel else "C")
+        got = fh.readinto(block.T if kernel else block)
+        if got != block.nbytes:
+            raise ValueError(f"truncated bundle: block {name} has {got} of {block.nbytes} bytes")
         if not np.isfinite(block).all():
             raise ValueError(f"bundle block {name} holds non-finite values")
-        blocks.append(block.reshape(a.shape).astype(float))
-        offset += 8 * a.size
+        blocks.append(block)
     mins, maxs, bundle.snippets, *weights = blocks
     tensors = bundle.recognizer.parameters() + bundle.reconstructor.parameters()
     for (_, p), data in zip(tensors, weights):

@@ -152,16 +152,16 @@ def _grad_err(build_loss, tensors) -> float:
     build_loss().backward()
     worst = 0.0
     for t in tensors:
-        flat = t.data.reshape(-1)
         grad = t.grad.reshape(-1)
-        for i in range(flat.size):
-            old = flat[i]
+        for i in range(t.data.size):
+            index = np.unravel_index(i, t.data.shape)  # in place, whatever the memory order
+            old = t.data[index]
             h = 1e-5 * max(1.0, abs(old))
-            flat[i] = old + h
+            t.data[index] = old + h
             fp = float(build_loss().data)
-            flat[i] = old - h
+            t.data[index] = old - h
             fm = float(build_loss().data)
-            flat[i] = old
+            t.data[index] = old
             num = (fp - fm) / (2 * h)
             err = abs(num - grad[i]) / max(abs(num) + abs(grad[i]), 1e-6)
             worst = max(worst, err)
@@ -180,18 +180,18 @@ def _sampled_grad_err(build_loss, named, rng, per_tensor: int = 3) -> float:
     build_loss().backward()
     worst = 0.0
     for _, t in named:
-        flat = t.data.reshape(-1)
         grad = t.grad.reshape(-1)
-        picks = rng.choice(flat.size, size=min(per_tensor, flat.size),
+        picks = rng.choice(t.data.size, size=min(per_tensor, t.data.size),
                            replace=False)
         for i in picks:
-            old = flat[i]
+            index = np.unravel_index(i, t.data.shape)  # in place, whatever the memory order
+            old = t.data[index]
             h = 1e-6 * max(1.0, abs(old))
-            flat[i] = old + h
+            t.data[index] = old + h
             fp = float(build_loss().data)
-            flat[i] = old - h
+            t.data[index] = old - h
             fm = float(build_loss().data)
-            flat[i] = old
+            t.data[index] = old
             num = (fp - fm) / (2 * h)
             err = abs(num - grad[i]) / max(abs(num) + abs(grad[i]), 1e-6)
             worst = max(worst, err)

@@ -140,6 +140,26 @@ def test_conv1d_same_length_output_and_errors():
         ag.conv1d(ag.Tensor(np.zeros((2, 13))), w, b)
 
 
+@pytest.mark.parametrize("batch, c_in, c_out, length, kw", [
+    (1, 1, 1, 3, 3), (2, 2, 3, 9, 5), (3, 4, 256, 32, 5), (32, 128, 64, 8, 5), (5, 64, 32, 16, 3),
+])
+def test_conv1d_gives_the_same_bits_for_c_and_tap_major_kernels(batch, c_in, c_out, length, kw):
+    rng = np.random.default_rng(batch * 1000 + c_out)
+    x = rng.normal(size=(batch, c_in, length))
+    w = rng.normal(size=(c_out, c_in, kw))
+    b = rng.normal(size=c_out)
+    g = rng.normal(size=(batch, c_out, length))
+    results = []
+    for kernel in (np.ascontiguousarray(w), np.asfortranarray(w)):
+        xt, wt, bt = ag.Tensor(x, True), ag.Tensor(kernel, True), ag.Tensor(b, True)
+        y = ag.conv1d(xt, wt, bt)
+        (y * g).sum().backward()
+        assert wt.grad.flags.f_contiguous   # the weight gradient lies tap-major
+        results.append([y.data, xt.grad, wt.grad, bt.grad])
+    for c_order, tap_major in zip(*results):
+        assert c_order.tobytes() == tap_major.tobytes()
+
+
 def test_conv1d_hand_case():
     # single channel, kernel [1, 2, 3], zero padding at both ends
     x = ag.Tensor(np.array([[[1.0, 2.0, 3.0]]]))
@@ -400,6 +420,10 @@ def test_glorot_bounds_and_determinism():
     assert np.array_equal(a.data, b.data)
     c = ag.glorot_uniform((4, 2, 3), np.random.default_rng(1))
     assert np.all(np.abs(c.data) <= np.sqrt(6.0 / (2 * 3 + 4 * 3)))
+    # A conv kernel takes the same draws and lies tap-major, in its own array.
+    kernel = ag.init_weight((4, 2, 3), np.random.default_rng(1)).data
+    assert kernel.flags.f_contiguous and kernel.flags.owndata
+    assert kernel.tobytes() == c.data.tobytes()
 
 
 def test_no_grad_records_no_graph_and_restores_state():

@@ -205,13 +205,14 @@ def _set_names(names):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda h: {**h, "format": 1}, "unsupported bundle format 1"),
+    (lambda h: {**h, "format": 2}, "unsupported bundle format 2"),
     (_set_snippets_shape([1, 2, 16]), "bundle arrays do not match its config"),
     (_set_snippets_shape([2, 2, 17]), "bundle arrays do not match its config"),
     (_set_names("xy"), "config names must be a list of strings, got 'xy'"),
     (_set_names([1, 2]), "config names must be a list of strings, got [1, 2]"),
     (_set_names([None, "a"]), "config names must be a list of strings, got [None, 'a']"),
     (_set_names(["a", "a"]), "bundle names repeat a coordinate: ['a', 'a']"),
-], ids=["format-1", "snippets-d-1", "snippets-m+1", "names-str", "names-int",
+], ids=["format-1", "format-2", "snippets-d-1", "snippets-m+1", "names-str", "names-int",
         "names-null", "names-repeated"])
 def test_malformed_bundle_exits_2_without_output(workdir, tmp_path, capsys, edit, message):
     rc, _ = _impute_with_header(workdir, tmp_path, edit)

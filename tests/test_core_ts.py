@@ -206,10 +206,17 @@ NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8DEADBEEF0001, 0x7FF000
 @st.composite
 def pooled_csv_series(draw):
     """Cells drawn from POOL_BITS + NAN_BITS, so values repeat; -0.0 sits
-    beside 0.0 in the first column; d = 1 is one case in three."""
-    n, d = draw(st.integers(2, 12)), draw(st.sampled_from([1, 2, 4]))
-    bits = draw(st.lists(st.sampled_from(POOL_BITS + NAN_BITS), min_size=n * d, max_size=n * d))
-    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d)
+    beside 0.0 in the first column; d = 1 is one case in three. Half the
+    series take up to 60 rows from a pool of 1-4 such rows, so that whole
+    rows repeat and the writer's distinct-row path runs."""
+    d = draw(st.sampled_from([1, 2, 4]))
+    pooled = draw(st.booleans())
+    n = draw(st.integers(2, 60 if pooled else 12))
+    rows = draw(st.integers(1, 4)) if pooled else n
+    bits = draw(st.lists(st.sampled_from(POOL_BITS + NAN_BITS), min_size=rows * d,
+                         max_size=rows * d))
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, d)
+    values = values[draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))]
     values[:2, 0] = 0.0, -0.0
     return TimeSeries(values, names=tuple(f"c{j}" for j in range(d)))
 
@@ -221,6 +228,8 @@ def pooled_csv_series(draw):
 @example(TimeSeries([[1.0, 2.0], [np.nan, np.nan]], names=("a", "b")))    # the last row all gaps
 @example(TimeSeries([[-0.0, 0.0], [0.0, -0.0]], names=("a", "b")))        # -0.0 beside 0.0
 @example(TimeSeries(np.empty((0, 3)), names=("a", "b", "c")))             # no rows
+@example(TimeSeries(np.tile([[0.25, np.nan], [-0.0, 1e16]], (10, 1)), names=("a", "b")))
+@example(TimeSeries(np.tile([np.nan, 0.5], 10), names=("a",)))  # distinct rows, gaps as ""
 def test_write_csv_bytes_match_a_per_cell_csv_writer_and_read_back_bit_exact(ts):
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
@@ -251,6 +260,30 @@ def test_write_csv_formats_each_distinct_value_once(tmp_path, monkeypatch):
     write_csv(ts, tmp_path / "x.csv")
     assert len(formatted) == len(np.unique(ts.values.view(np.uint64))) == 50
     assert np.array_equal(read_csv(tmp_path / "x.csv").values, ts.values)
+
+
+def test_write_csv_formats_each_distinct_row_once_when_most_rows_repeat(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    blackout = np.tile(rng.normal(size=(25, 4)), (400, 1))
+    blackout[5_000:5_010] = np.nan
+    distinct = rng.normal(size=(10_000, 4))
+    lines, formatted = core_ts._lines, []
+
+    def counted(cells):
+        formatted.append(len(cells))
+        return lines(cells)
+
+    monkeypatch.setattr(core_ts, "_lines", counted)
+    # 26 distinct rows of 10 000; ten values in all, but about 6 300 distinct
+    # rows, over the tenth that takes the row path; and all distinct, turned
+    # away by the count of distinct cells.
+    for values, want in ((blackout, 26), (rng.integers(0, 10, size=(10_000, 4)) / 8, 10_000),
+                         (distinct, 10_000)):
+        ts = TimeSeries(values)
+        formatted.clear()
+        write_csv(ts, tmp_path / "x.csv")
+        assert formatted == [want]
+        assert np.array_equal(read_csv(tmp_path / "x.csv").values, ts.values, equal_nan=True)
 
 
 def test_write_csv_of_no_rows_is_the_header_alone(tmp_path):
@@ -498,11 +531,17 @@ def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
         ts = read_csv(tmp_path / f"{name}.csv")
         assert ts.names == ("a", "b", "c", "d")
         assert np.array_equal(ts.values, values, equal_nan=True)
+    # A cell of spaces and tabs is a gap on this route too, before \n or \r\n.
+    for end in ("\n", "\r\n"):
+        text = end.join(["a,b", "1, ", "\t \t,2", " ,", ""])
+        (tmp_path / "x.csv").write_text(text, newline="")
+        assert np.array_equal(read_csv(tmp_path / "x.csv").values,
+                              [[1.0, np.nan], [np.nan, 2.0], [np.nan, np.nan]], equal_nan=True)
     # What numpy's reader refuses still reads, through the csv route.
     routed = []
     monkeypatch.setattr(core_ts.csv, "reader",
                         lambda *args, **kwargs: routed.append(1) or csv_reader(*args, **kwargs))
-    for text, want in (('a,b\n"1.5",2\n', [1.5, 2.0]), ("a,b\n1, \n", [1.0, np.nan]),
+    for text, want in (('a,b\n"1.5",2\n', [1.5, 2.0]), ("a,b\n1,\x0b\n", [1.0, np.nan]),
                        ("a,b\n1_0,2\n", [10.0, 2.0])):
         (tmp_path / "x.csv").write_text(text)
         assert np.array_equal(read_csv(tmp_path / "x.csv").values, [want], equal_nan=True)

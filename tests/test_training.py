@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import two_regime_series
 from saeti import autograd, models, training
-from saeti.autograd import no_grad
+from saeti.autograd import is_conv_kernel, no_grad
 from saeti.core_ts import NormParams, TimeSeries, minmax_normalize, split_nonoverlapping
 from saeti.models import MISSING_FILL, RecognizerModel, ReconstructorModel, model_inputs
 from saeti.scenarios import gen_mcar
@@ -305,14 +306,51 @@ def test_train_bundle_rejects_sets_found_with_gaps_elsewhere(norm_and_sets, monk
 
 
 def test_untrained_bundle_bytes_are_pinned(tmp_path):
-    """A reordered, renamed or reshaped parameter, or a reordered draw, changes the file."""
+    """A reordered, renamed or reshaped parameter, a reordered draw or another
+    block layout changes the file."""
     bundle = ModelBundle(names=("a", "b"), norm=NormParams(mins=np.zeros(2), maxs=np.ones(2)),
                          snippets=np.arange(64.0).reshape(2, 2, 16) / 64, ell=8,
                          recognizer=RecognizerModel(2, 16, 2, seed=11),
                          reconstructor=ReconstructorModel(2, 16, seed=11), seed=11)
     save_bundle(bundle, tmp_path / "untrained.bundle")
-    digest = hashlib.sha256((tmp_path / "untrained.bundle").read_bytes()).hexdigest()
-    assert digest == "2d1beb532512fcd46ea9a838478129a9491dc762bee8069d7e2518e873ac0deb"
+    blob = (tmp_path / "untrained.bundle").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "a0dd77d57d2cd851211d9d4641d89b2871a8632de22b6e418b9a6f47f2c2321c")
+    # The same draws laid out as format 2 (every block in C order) are the
+    # bytes that format pinned: the initial values did not change.
+    (n,) = struct.unpack("<Q", blob[8:16])
+    header = {**json.loads(blob[16:16 + n]), "format": 2}
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    blocks = [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in training._arrays(bundle)]
+    old = BUNDLE_MAGIC + struct.pack("<Q", len(raw)) + raw + b"".join(blocks)
+    assert hashlib.sha256(old).hexdigest() == (
+        "2d1beb532512fcd46ea9a838478129a9491dc762bee8069d7e2518e873ac0deb")
+
+
+def _kernels(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
+    return [(name, p.data) for model in (bundle.recognizer, bundle.reconstructor)
+            for name, p in model.parameters() if is_conv_kernel(name, p.data.shape)]
+
+
+def test_conv_kernels_lie_tap_major_in_their_own_arrays(tmp_path, norm_and_sets):
+    ts_norm, norm, sets = norm_and_sets
+    config = TrainConfig(m=16, k=2, seed=0, max_epochs=6, patience=1)
+    untrained = ModelBundle(names=ts_norm.names, norm=norm, snippets=snippet_values(sets), ell=8,
+                            recognizer=RecognizerModel(2, 16, 2, seed=0),
+                            reconstructor=ReconstructorModel(2, 16, seed=0))
+    trained, recog_history, recon_history = train_bundle(ts_norm, norm, sets, config)
+    for history in (recog_history, recon_history):   # so both restore an earlier epoch
+        assert min(history, key=lambda e: e.val_loss).epoch < history[-1].epoch
+    save_bundle(trained, tmp_path / "model.bundle")
+    loaded = load_bundle(tmp_path / "model.bundle")
+    for bundle in (untrained, trained, loaded):
+        kernels = _kernels(bundle)
+        assert len(kernels) == 3 + 2 * 6   # the recognizer's 3, each coordinate's 3 + 3
+        for name, data in kernels:
+            assert data.flags.f_contiguous and data.flags.owndata, name
+    assert loaded.snippets.flags.c_contiguous
+    for (_, a), (_, b) in zip(_kernels(trained), _kernels(loaded)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_load_bundle_draws_no_initial_values(tmp_path, norm_and_sets, monkeypatch):
@@ -551,6 +589,22 @@ def test_bundle_rejects_truncation(tmp_path, norm_and_sets):
         load_bundle(grown)
 
 
+def test_a_file_cut_after_its_size_was_read_is_a_truncated_bundle(tmp_path, monkeypatch):
+    bundle = ModelBundle(names=("a", "b"), norm=NormParams(mins=np.zeros(2), maxs=np.ones(2)),
+                         snippets=np.zeros((2, 2, 16)), ell=8,
+                         recognizer=RecognizerModel(2, 16, 2, seed=0),
+                         reconstructor=ReconstructorModel(2, 16, seed=0))
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle, path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:size // 2])
+    # fstat still reports the whole file, so only the short read can tell.
+    stat = os.stat_result((0,) * 6 + (size,) + (0,) * 3)
+    monkeypatch.setattr(training.os, "fstat", lambda fd: stat)
+    with pytest.raises(ValueError, match=r"truncated bundle: block \S+ has \d+ of \d+ bytes"):
+        load_bundle(path)
+
+
 def _edit_header(path, edit):
     blob = path.read_bytes()
     (n,) = struct.unpack("<Q", blob[8:16])
@@ -562,6 +616,7 @@ def _edit_header(path, edit):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda h: h.update(format=1), "unsupported bundle format 1"),
+    (lambda h: h.update(format=2), "unsupported bundle format 2; this version reads format 3"),
     (lambda h: h["config"].pop("latent"), "missing key 'latent'"),
     (lambda h: h.pop("arrays"), "missing key 'arrays'"),
     (lambda h: h["config"].update(names=["s1"]), "1 names but its config has d=2"),
