@@ -639,7 +639,8 @@ def init_weight(shape, rng: np.random.Generator | None, glorot: bool = True) -> 
     a read-only zero placeholder that draws nothing and takes no memory, for a
     loader to replace with its own array."""
     if rng is None:
-        return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+        return Tensor(np.ndarray(shape, float, bytes(8), 0, (0,) * np.size(shape)),
+                      requires_grad=True)
     if not glorot:
         return Tensor(np.zeros(shape), requires_grad=True)
     weight = glorot_uniform(shape, rng)

@@ -46,11 +46,8 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 def _write_mask_csv(hidden: np.ndarray, path: str) -> None:
     """Hidden positions as 1-based (row, col) pairs, row-major order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "col"])
-        for r, c in np.argwhere(hidden):
-            writer.writerow([int(r) + 1, int(c) + 1])
+    np.savetxt(path, np.argwhere(hidden) + 1, fmt="%d", delimiter=",", header="row,col",
+               comments="")
 
 
 def _read_mask_csv(path: str, shape: tuple[int, int]) -> np.ndarray:

@@ -214,19 +214,19 @@ def split_nonoverlapping(ts: TimeSeries, m: int) -> tuple[np.ndarray, np.ndarray
 # step; blank lines are skipped. A cell is stripped of surrounding whitespace;
 # then an empty cell, or one that float() reads as NaN, is missing, and
 # float() parses every other cell. Two routes read a file. Plain numeric text
-# goes to numpy's C reader: each empty cell, or one of spaces and tabs only,
-# becomes "nan", and np.loadtxt
+# goes to numpy's C reader: each empty cell becomes "nan", and np.loadtxt
 # strips and converts every cell with the PyOS_string_to_double that float()
 # calls, so the values are float()'s to the bit. Once a fifth of the data lines
 # repeat an earlier one, that route parses each distinct line once and copies
 # its row to every line that repeats it: the benchmark's 10 000-row blackout
-# request holds 25 distinct lines and its planted history 24 of 3 840. A file
-# of distinct lines is parsed in one pass. What that route does not take (text
-# that is not ASCII, holds a quote or a NUL, which Python 3.10's csv refuses,
-# has no data row, a line longer than csv's field limit or a line ended by a
-# bare \r) or refuses (a ragged row, a cell such as "1_0" or "\x0b", an
-# infinite cell) takes the csv route: csv.reader, strip and float(), which
-# parses it or names the first fault.
+# request holds 25 distinct lines and its planted history 24 of 3 840. What
+# that route does not take (text that is not ASCII, holds a quote or a NUL,
+# which Python 3.10's csv refuses, has no data row, a line longer than csv's
+# field limit or a line ended by a bare \r) or refuses (a ragged row, a cell of
+# only spaces and tabs, "1_0" or "\x0b", an infinite cell) takes the csv route:
+# one csv.reader pass up to the first ragged row or csv fault, one float() map
+# over the cells before it, and a cell loop only if that map fails, so that the
+# first fault in file order is named.
 # Observed values are written with repr, run once per distinct bit pattern (so
 # -0.0 and 0.0 stay apart), and read back bit-exact. Missing cells are written
 # empty; csv quotes a row's only cell as '""' so that a one-column gap is not a
@@ -278,11 +278,6 @@ def _read_plain(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
     after = (raw == ord(",")) | (raw == ord("\n"))  # a cell starts after these
     before = after | (raw == ord("\r"))  # and ends before these
     blank = after[:-1] & before[1:]  # blank[i]: an empty cell starts at raw[i + 1]
-    if " " in kept or "\t" in kept:  # a cell of spaces and tabs is blank too
-        pad = (raw == ord(" ")) | (raw == ord("\t"))  # look past them for the cell's end
-        solid = np.flatnonzero(~pad)
-        start = np.flatnonzero(after[:-1]) + 1
-        blank[start - 1] = before[solid[np.searchsorted(solid, start)]]
     empty = top + 1 + np.flatnonzero(blank)  # where kept has a blank cell
     cuts = [top + 1, *empty.tolist(), len(kept) - 1]
     cells = ("nan".join([kept[a:b] for a, b in zip(cuts, cuts[1:])]).split("\n")
@@ -303,52 +298,45 @@ def _read_plain(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
 def _read_rows(path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Names and values by csv.reader, strip and float(); raises at the first fault."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty CSV") from None
-    except csv.Error as err:
-        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-    names = tuple(name.strip() for name in header)
-    _check_distinct(names, f"{path}:1: ")
-    rows = []  # rows[i] is line i + 2; a blank line is []
+    rows, fault = [], None  # the records up to the first csv fault
     try:
         rows.extend(reader)
     except csv.Error as err:
-        _raise_first_fault(path, names, rows)  # a fault on an earlier line comes first
-        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-    data = [row for row in rows if row]
-    cells = [cell.strip() or "nan" for row in data for cell in row]
+        fault = f"{path}:{reader.line_num}: {err}"
+    if not rows:
+        raise ValueError(fault or f"{path}: empty CSV")
+    header, *rows = rows  # rows[i] is line i + 2; a blank line is []
+    names = tuple(name.strip() for name in header)
+    _check_distinct(names, f"{path}:1: ")
+    size = np.fromiter(map(len, rows), np.intp, len(rows))
+    ragged = np.flatnonzero((size != 0) & (size != len(names)))
+    if ragged.size:  # it comes before a csv fault, which ends the rows
+        stop = ragged[0]
+        fault = f"{path}:{stop + 2}: expected {len(names)} cells, got {size[stop]}"
+        size = size[:stop]
+    lineno = np.flatnonzero(size) + 2  # of each data row before the fault
+    cells = [cell.strip() or "nan" for row in rows[:size.size] for cell in row]
     try:
-        if set(map(len, data)) - {len(names)}:
-            raise ValueError("ragged rows")
         values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        _raise_first_fault(path, names, rows)
-        raise
-    if not data:
+        for k, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                i, j = divmod(k, len(names))
+                raise ValueError(f"{path}:{lineno[i]}: column {j + 1} ({names[j]}): "
+                                 f"not a number: {cell!r}") from None
+    if fault:
+        raise ValueError(fault)
+    if not lineno.size:
         raise ValueError(f"{path}: no data rows")
-    values = values.reshape(len(data), len(names))
+    values = values.reshape(lineno.size, len(names))
     infinite = np.isinf(values)
     if infinite.any():
         i, j = np.argwhere(infinite)[0]
-        lineno = [k for k, row in enumerate(rows, start=2) if row][i]
-        raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
+        raise ValueError(f"{path}:{lineno[i]}: column {j + 1} ({names[j]}): "
                          f"non-finite value {float(values[i, j])!r}")
     return names, values
-
-
-def _raise_first_fault(path, names: tuple[str, ...], rows: list[list[str]]) -> None:
-    """Raise for the first ragged row or unparseable cell of ``rows``, if any."""
-    for lineno, row in enumerate(rows, start=2):
-        if row and len(row) != len(names):
-            raise ValueError(f"{path}:{lineno}: expected {len(names)} cells, got {len(row)}")
-        for j, cell in enumerate(row):
-            try:
-                float(cell.strip() or "nan")
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: column {j + 1} ({names[j]}): "
-                                 f"not a number: {cell.strip()!r}") from None
 
 
 def _lines(cells: np.ndarray) -> str:

@@ -232,7 +232,7 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
     opt = Adam(params, lr=config.lr)
     history: list[EpochStats] = []
     best_val = math.inf
-    best_snap = [p.data.copy(order="K") for p in params]   # kernels stay tap-major
+    best_snap = []  # epoch 1's finite validation loss always replaces it
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(train_idx)
@@ -255,7 +255,7 @@ def _fit(model, config: TrainConfig, rng: np.random.Generator,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snap = [p.data.copy(order="K") for p in params]
+            best_snap = [p.data.copy(order="K") for p in params]   # kernels stay tap-major
             stale = 0
         else:
             stale += 1

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import two_regime_series
-from saeti.cli import build_parser, main
+from saeti.cli import _read_mask_csv, _write_mask_csv, build_parser, main
 from saeti.core_ts import TimeSeries, read_csv, write_csv
 from saeti.training import TrainConfig
 
@@ -308,6 +309,21 @@ def test_generate_gaps_artifacts(workdir):
     assert len(mask_lines) == 21
     rows = {int(line.split(",")[0]) for line in mask_lines[1:]}
     assert len(rows) == 10  # ten steps, both coordinates
+
+
+@pytest.mark.parametrize("hidden", [
+    np.zeros((5, 3), bool),
+    np.array([[True], [False], [True], [False], [False], [True]]),
+    np.random.default_rng(30).random((10_000, 4)) < 0.25,
+], ids=["no points", "one column", "many points"])
+def test_mask_file_bytes_match_a_csv_writer_reference(tmp_path, hidden):
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row", "col"])
+        writer.writerows([r + 1, c + 1] for r, c in np.argwhere(hidden).tolist())
+    _write_mask_csv(hidden, str(tmp_path / "mask.csv"))
+    assert (tmp_path / "mask.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert np.array_equal(_read_mask_csv(str(tmp_path / "mask.csv"), hidden.shape), hidden)
 
 
 def test_impute_fills_and_reports(workdir):

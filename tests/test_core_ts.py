@@ -531,21 +531,18 @@ def test_plain_numeric_text_skips_the_csv_module(tmp_path, monkeypatch):
         ts = read_csv(tmp_path / f"{name}.csv")
         assert ts.names == ("a", "b", "c", "d")
         assert np.array_equal(ts.values, values, equal_nan=True)
-    # A cell of spaces and tabs is a gap on this route too, before \n or \r\n.
-    for end in ("\n", "\r\n"):
-        text = end.join(["a,b", "1, ", "\t \t,2", " ,", ""])
-        (tmp_path / "x.csv").write_text(text, newline="")
-        assert np.array_equal(read_csv(tmp_path / "x.csv").values,
-                              [[1.0, np.nan], [np.nan, 2.0], [np.nan, np.nan]], equal_nan=True)
-    # What numpy's reader refuses still reads, through the csv route.
+    # What numpy's reader refuses still reads, through the csv route: a cell
+    # of spaces and tabs, before \n or \r\n, is a gap there.
     routed = []
     monkeypatch.setattr(core_ts.csv, "reader",
                         lambda *args, **kwargs: routed.append(1) or csv_reader(*args, **kwargs))
-    for text, want in (('a,b\n"1.5",2\n', [1.5, 2.0]), ("a,b\n1,\x0b\n", [1.0, np.nan]),
-                       ("a,b\n1_0,2\n", [10.0, 2.0])):
-        (tmp_path / "x.csv").write_text(text)
-        assert np.array_equal(read_csv(tmp_path / "x.csv").values, [want], equal_nan=True)
-    assert len(routed) == 3
+    blanks = [(end.join(["a,b", "1, ", "\t \t,2", " ,", ""]),
+               [[1.0, np.nan], [np.nan, 2.0], [np.nan, np.nan]]) for end in ("\n", "\r\n")]
+    for text, want in [('a,b\n"1.5",2\n', [[1.5, 2.0]]), ("a,b\n1,\x0b\n", [[1.0, np.nan]]),
+                       ("a,b\n1_0,2\n", [[10.0, 2.0]]), *blanks]:
+        (tmp_path / "x.csv").write_text(text, newline="")
+        assert np.array_equal(read_csv(tmp_path / "x.csv").values, want, equal_nan=True)
+    assert len(routed) == 5
 
 
 
